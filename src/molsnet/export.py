@@ -31,20 +31,14 @@ def export_graph(graph: PartiteGraph, fmt: str) -> GraphExport:
     return GraphExport(fmt, content)
 
 
-def _sorted_edges(graph: PartiteGraph):
-    return sorted(graph.edges)
-
-
-def _isolated_vertices(graph: PartiteGraph):
-    touched = {endpoint for edge in graph.edges for endpoint in edge}
-    return [v for v in graph.vertices() if v not in touched]
-
-
 def _to_edge_list(graph: PartiteGraph) -> str:
     # Isolated vertices get a bare declaration line so they are not lost.
-    lines = [vertex_name(v) for v in _isolated_vertices(graph)]
-    lines += [f"{vertex_name(u)} {vertex_name(v)}" for u, v in _sorted_edges(graph)]
-    return "\n".join(lines) + "\n"
+    touched, lines = set(), []
+    for u, v in graph.sorted_edges():
+        touched.update((u, v))
+        lines.append(f"{vertex_name(u)} {vertex_name(v)}")
+    isolated = [vertex_name(v) for v in graph.vertices() if v not in touched]
+    return "\n".join(isolated + lines) + "\n"
 
 
 def _to_dot(graph: PartiteGraph) -> str:
@@ -58,7 +52,7 @@ def _to_dot(graph: PartiteGraph) -> str:
         for symbol in range(1, size + 1):
             lines.append(f"    {label}{symbol};")
         lines.append("  }")
-    for u, v in _sorted_edges(graph):
+    for u, v in graph.sorted_edges():
         lines.append(f"  {vertex_name(u)} {connector} {vertex_name(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -73,7 +67,7 @@ def _to_json(graph: PartiteGraph) -> str:
             for p, size in enumerate(graph.part_sizes)
         ],
         "vertex_count": graph.vertex_count,
-        "edge_count": len(graph.edges),
-        "edges": [[vertex_name(u), vertex_name(v)] for u, v in _sorted_edges(graph)],
+        "edge_count": graph.edge_count,
+        "edges": [[vertex_name(u), vertex_name(v)] for u, v in graph.sorted_edges()],
     }
     return json.dumps(payload, indent=2) + "\n"

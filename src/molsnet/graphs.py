@@ -9,10 +9,11 @@ degrees ignore direction.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from itertools import groupby
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotOrthogonalError
 from .orthogonality import Cell, TupleArray, is_t_orthogonal
@@ -69,28 +70,49 @@ class ChannelChain:
 class PartiteGraph:
     """A graph on parts of given sizes; edges may repeat (multigraph).
 
-    Chain-construction graphs are directed, join consecutive parts only,
-    and carry the channel chains they were built from.  Complete
-    multipartite graphs are undirected with endpoints stored part-ascending.
+    A chain-construction graph is its tuple array, each cell one directed
+    chain through consecutive parts; a complete multipartite graph is its
+    part sizes.  Edges are derived on demand, never stored.
     """
 
     kind: str
     part_sizes: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    chains: tuple[ChannelChain, ...] = field(default=(), compare=False)
+    array: TupleArray | None = None
 
     def __post_init__(self):
         if self.kind not in (CHAIN, MULTIPARTITE):
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if not self.part_sizes or any(size < 1 for size in self.part_sizes):
             raise ValueError("every part must have at least one vertex")
-        for (p, u), (q, v) in self.edges:
-            if self.kind == CHAIN and q != p + 1:
-                raise ValueError(f"chain edges must join consecutive parts, got {p}->{q}")
-            if self.kind == MULTIPARTITE and not p < q:
-                raise ValueError(f"multipartite edges must be stored part-ascending, got {p},{q}")
-            if not (1 <= u <= self.part_sizes[p] and 1 <= v <= self.part_sizes[q]):
-                raise ValueError(f"edge endpoint out of range: {(p, u), (q, v)}")
+        if (self.kind == CHAIN) != (self.array is not None):
+            raise ValueError("chain graphs need a tuple array; multipartite graphs take none")
+        if self.array is not None and self.part_sizes != (self.array.order,) * self.array.arity:
+            raise ValueError(f"part sizes {self.part_sizes} do not match the array")
+
+    def sorted_edges(self) -> Iterator[Edge]:
+        """Every edge once per occurrence, ascending.  The only code that knows
+        edge order; parallel edges come out as adjacent runs."""
+        if self.array is not None:
+            columns = list(zip(*(entry for row in self.array.grid for entry in row)))
+            for c in range(self.array.arity - 1):
+                for u, v in sorted(zip(columns[c], columns[c + 1])):
+                    yield (c, u), (c + 1, v)
+            return
+        for p, u in self.vertices():
+            for q in range(p + 1, self.num_parts):
+                for v in range(1, self.part_sizes[q] + 1):
+                    yield (p, u), (q, v)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(self.sorted_edges())
+
+    @property
+    def chains(self) -> tuple[ChannelChain, ...]:
+        """One chain per cell, in row-major cell order; none for multipartite graphs."""
+        grid = self.array.grid if self.array is not None else ()
+        return tuple(ChannelChain((i, j), symbols) for i, row in enumerate(grid, start=1)
+                     for j, symbols in enumerate(row, start=1))
 
     @property
     def num_parts(self) -> int:
@@ -109,7 +131,10 @@ class PartiteGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        """n^2 (t-1) for a chain graph; the sum of s_p * s_q over p < q otherwise."""
+        if self.array is not None:
+            return self.array.order ** 2 * (self.array.arity - 1)
+        return sum(size * (self.vertex_count - size) for size in self.part_sizes) // 2
 
     def has_vertex(self, vertex: Vertex) -> bool:
         p, s = vertex
@@ -126,15 +151,7 @@ def build_partite_graph(array: TupleArray) -> PartiteGraph:
     report = is_t_orthogonal(array)
     if not report.is_orthogonal:
         raise NotOrthogonalError(report)
-    n, t = array.order, array.arity
-    edges: list[Edge] = []
-    chains: list[ChannelChain] = []
-    for i, row in enumerate(array.grid, start=1):
-        for j, symbols in enumerate(row, start=1):
-            chains.append(ChannelChain((i, j), symbols))
-            for c in range(t - 1):
-                edges.append(((c, symbols[c]), (c + 1, symbols[c + 1])))
-    return PartiteGraph(CHAIN, (n,) * t, tuple(edges), tuple(chains))
+    return PartiteGraph(CHAIN, (array.order,) * array.arity, array)
 
 
 @dataclass(frozen=True)
@@ -147,9 +164,9 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     """Parallel-edge report for a chain graph, sorted by endpoints."""
     if graph.kind != CHAIN:
         raise ValueError("edge multiplicity applies to chain-construction graphs")
-    counts = Counter(graph.edges)
-    duplicated = tuple((edge, count) for edge, count in sorted(counts.items()) if count > 1)
-    return MultiplicityReport(max(counts.values(), default=1), duplicated)
+    runs = ((edge, sum(1 for _ in run)) for edge, run in groupby(graph.sorted_edges()))
+    duplicated = tuple((edge, count) for edge, count in runs if count > 1)
+    return MultiplicityReport(max((count for _, count in duplicated), default=1), duplicated)
 
 
 @dataclass(frozen=True)
@@ -166,7 +183,7 @@ def is_bipartite(graph: PartiteGraph) -> BipartitenessReport:
     an odd number of edges as the certificate.
     """
     adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in graph.vertices()}
-    for u, v in graph.edges:
+    for u, v in graph.sorted_edges():
         adjacency[u].add(v)
         adjacency[v].add(u)
     color: dict[Vertex, int] = {}
@@ -203,17 +220,7 @@ def _odd_closed_walk(u: Vertex, v: Vertex, parent: dict) -> tuple[Vertex, ...]:
 
 def make_complete_multipartite(sizes: Sequence[int]) -> PartiteGraph:
     """Complete multipartite graph: one edge per cross-part vertex pair."""
-    sizes = tuple(int(size) for size in sizes)
-    if not sizes or any(size < 1 for size in sizes):
-        raise ValueError("every part must have at least one vertex")
-    edges = tuple(
-        ((p, u), (q, v))
-        for p in range(len(sizes))
-        for q in range(p + 1, len(sizes))
-        for u in range(1, sizes[p] + 1)
-        for v in range(1, sizes[q] + 1)
-    )
-    return PartiteGraph(MULTIPARTITE, sizes, edges)
+    return PartiteGraph(MULTIPARTITE, tuple(int(size) for size in sizes))
 
 
 def make_turan_graph(m: int, n: int) -> PartiteGraph:
@@ -256,17 +263,16 @@ class GraphStats:
 def graph_stats(graph: PartiteGraph) -> GraphStats:
     """Counts, per-part degree sequences (direction ignored, multiplicity
     counted), and whether the graph is free of parallel edges."""
-    degree: Counter = Counter()
-    for u, v in graph.edges:
-        degree[u] += 1
-        degree[v] += 1
-    sequences = tuple(
-        tuple(degree[(p, s)] for s in range(1, size + 1))
-        for p, size in enumerate(graph.part_sizes)
-    )
-    simple = all(count == 1 for count in Counter(graph.edges).values())
-    return GraphStats(graph.kind, graph.vertex_count, len(graph.edges),
-                      graph.part_sizes, sequences, simple)
+    degree = [[0] * (size + 1) for size in graph.part_sizes]
+    simple, previous = True, None
+    for edge in graph.sorted_edges():
+        (p, u), (q, v) = edge
+        degree[p][u] += 1
+        degree[q][v] += 1
+        simple = simple and edge != previous    # parallel copies are adjacent
+        previous = edge
+    return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
+                      tuple(tuple(part[1:]) for part in degree), simple)
 
 
 def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain, ...]:

@@ -1,9 +1,9 @@
 """Byte-exact goldens for the graph exports, `stats` text and `check` output.
 
-The files under tests/goldens/ were recorded from the seed implementation,
-which stored every edge; any later representation of a graph must export
-the same bytes.  To record them again (only when an output change is
-intended), run from the repository root:
+The files under tests/goldens/ hold the exact bytes these commands print.
+Any change to how graphs are represented or walked must reproduce them.
+To record them again, only when an output change is intended, run from
+the repository root:
 
     PYTHONPATH=src python3 tests/test_goldens.py
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from molsnet import (TupleArray, build_partite_graph, export_graph, make_mols_family,
+from molsnet import (FORMATS, TupleArray, build_partite_graph, export_graph, make_mols_family,
                      make_turan_graph, serialize_square_file, superimpose)
 from molsnet.cli import main
 
@@ -59,7 +59,7 @@ def render_all():
     rendered = {}
     for name, build in GRAPHS.items():
         graph = build()
-        for fmt in ("dot", "edges", "json"):
+        for fmt in FORMATS:
             rendered[f"{name}.{fmt}"] = export_graph(graph, fmt).content
     rendered["stats_order4_t3.txt"] = _stats(4, 3)
     rendered["stats_order5_t4.txt"] = _stats(5, 4)
@@ -73,7 +73,7 @@ def rendered():
 
 
 @pytest.mark.parametrize("filename", sorted(
-    [f"{name}.{fmt}" for name in GRAPHS for fmt in ("dot", "edges", "json")]
+    [f"{name}.{fmt}" for name in GRAPHS for fmt in FORMATS]
     + ["stats_order4_t3.txt", "stats_order5_t4.txt", "check.txt"]))
 def test_output_matches_golden(rendered, filename):
     assert rendered[filename].encode() == (GOLDENS / filename).read_bytes()

@@ -273,12 +273,24 @@ class TestChannelsThrough:
 class TestPartiteGraphChecks:
     def test_kind_and_structure_are_enforced(self):
         with pytest.raises(ValueError):
-            PartiteGraph("blob", (2, 2), ())
+            PartiteGraph("blob", (2, 2))
         with pytest.raises(ValueError):
-            PartiteGraph(CHAIN, (2, 2), (((0, 1), (0, 2)),))
+            PartiteGraph(CHAIN, ())
         with pytest.raises(ValueError):
-            PartiteGraph(MULTIPARTITE, (2, 2), (((1, 1), (0, 2)),))
+            PartiteGraph(MULTIPARTITE, ())
+
+    def test_chain_graph_needs_an_array(self):
         with pytest.raises(ValueError):
-            PartiteGraph(CHAIN, (2, 2), (((0, 1), (1, 3)),))
+            PartiteGraph(CHAIN, (2, 2))
+
+    def test_multipartite_graph_takes_no_array(self, family4):
+        array = superimpose(list(family4.squares[:3]))
         with pytest.raises(ValueError):
-            PartiteGraph(CHAIN, (), ())
+            PartiteGraph(MULTIPARTITE, (4, 4, 4), array)
+
+    def test_chain_part_sizes_must_match_the_array(self, family4):
+        array = superimpose(list(family4.squares[:3]))
+        for sizes in ((4, 4), (4, 4, 4, 4), (3, 4, 4), (5, 5, 5)):
+            with pytest.raises(ValueError):
+                PartiteGraph(CHAIN, sizes, array)
+        assert PartiteGraph(CHAIN, (4, 4, 4), array) == build_partite_graph(array)
