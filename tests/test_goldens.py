@@ -1,4 +1,5 @@
-"""Byte-exact goldens for the graph exports, `stats` text and `check` output.
+"""Byte-exact goldens for the graph exports, the `stats`, `verify` and
+`check` text, and the demo scripts' output.
 
 The files under tests/goldens/ hold the exact bytes these commands print.
 Any change to how graphs are represented or walked must reproduce them.
@@ -10,16 +11,18 @@ the repository root:
 
 import contextlib
 import io
+import runpy
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from molsnet import (FORMATS, TupleArray, build_partite_graph, export_graph, make_mols_family,
-                     make_turan_graph, serialize_square_file, superimpose)
+from molsnet import (FORMATS, MolsSet, TupleArray, build_partite_graph, export_graph,
+                     make_mols_family, make_turan_graph, serialize_square_file, superimpose)
 from molsnet.cli import main
 
 GOLDENS = Path(__file__).with_name("goldens")
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # Orthogonal but not Latin: symbol 2 never appears in part A, so A2 is an
 # isolated vertex and A1 carries two parallel edges to each of B1 and B2.
@@ -40,18 +43,47 @@ GRAPHS = {
 }
 
 
-def _cli_stdout(argv):
+def _repeated_order5():
+    # Squares 1 and 3 are the same: the pair (1,3) fails, the other pairs pass,
+    # and the triple passes because squares 1 and 2 alone are orthogonal.
+    first, second = make_mols_family(5).squares[:2]
+    return MolsSet(5, (first, second, first))
+
+
+# golden file -> (square set, t, exit status of `verify`)
+VERIFY = {
+    "verify_additive5_t2.txt": (lambda: make_mols_family(5), 2, 0),
+    "verify_additive5_t3.txt": (lambda: make_mols_family(5), 3, 0),
+    "verify_additive5_t4.txt": (lambda: make_mols_family(5), 4, 0),
+    "verify_shift4_t2.txt": (lambda: make_mols_family(4), 2, 1),
+    "verify_shift4_t3.txt": (lambda: make_mols_family(4), 3, 0),
+    "verify_shift6_t2.txt": (lambda: make_mols_family(6), 2, 1),
+    "verify_repeated5_t2.txt": (_repeated_order5, 2, 1),
+    "verify_repeated5_t3.txt": (_repeated_order5, 3, 0),
+}
+
+DEMO_GOLDENS = {f"demo_{path.stem}.txt": path for path in sorted(DEMOS.glob("*.py"))}
+
+
+def _cli_stdout(argv, status=0):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
+        assert main(argv) == status, argv
     return out.getvalue()
 
 
-def _stats(n, t):
+def _on_file(mols, command, t, status=0):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "family.txt"
-        path.write_text(serialize_square_file(make_mols_family(n)))
-        return _cli_stdout(["stats", "--t", str(t), "--in", str(path)])
+        path.write_text(serialize_square_file(mols))
+        return _cli_stdout([command, "--t", str(t), "--in", str(path)], status)
+
+
+def _demo_stdout(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
 
 
 def render_all():
@@ -61,9 +93,13 @@ def render_all():
         graph = build()
         for fmt in FORMATS:
             rendered[f"{name}.{fmt}"] = export_graph(graph, fmt).content
-    rendered["stats_order4_t3.txt"] = _stats(4, 3)
-    rendered["stats_order5_t4.txt"] = _stats(5, 4)
+    rendered["stats_order4_t3.txt"] = _on_file(make_mols_family(4), "stats", 3)
+    rendered["stats_order5_t4.txt"] = _on_file(make_mols_family(5), "stats", 4)
     rendered["check.txt"] = _cli_stdout(["check"])
+    for filename, (mols, t, status) in VERIFY.items():
+        rendered[filename] = _on_file(mols(), "verify", t, status)
+    for filename, path in DEMO_GOLDENS.items():
+        rendered[filename] = _demo_stdout(path)
     return rendered
 
 
@@ -74,7 +110,8 @@ def rendered():
 
 @pytest.mark.parametrize("filename", sorted(
     [f"{name}.{fmt}" for name in GRAPHS for fmt in FORMATS]
-    + ["stats_order4_t3.txt", "stats_order5_t4.txt", "check.txt"]))
+    + ["stats_order4_t3.txt", "stats_order5_t4.txt", "check.txt"]
+    + list(VERIFY) + list(DEMO_GOLDENS)))
 def test_output_matches_golden(rendered, filename):
     assert rendered[filename].encode() == (GOLDENS / filename).read_bytes()
 
