@@ -15,7 +15,8 @@ from .graphs import (CHAIN, MULTIPARTITE, BipartitenessReport, ChannelChain, Gra
                      make_complete_multipartite, make_turan_graph, parse_part_label, part_label,
                      turan_edge_count, vertex_name)
 from .oracle import (SearchResult, brute_force_distinctness, brute_force_multiplicity,
-                     count_edges_brute, enumerate_latin_squares, exhaustive_mols_search)
+                     count_edges_brute, enumerate_latin_squares, enumerate_set_orthogonality,
+                     exhaustive_mols_search)
 from .orthogonality import (OrthogonalityReport, SetOrthogonalityReport, SubsetVerdict,
                             TupleArray, distinct_tuple_count, is_t_orthogonal, superimpose,
                             verify_set_orthogonality)
@@ -56,6 +57,7 @@ __all__ = [
     "distinct_tuple_count",
     "edge_multiplicity",
     "enumerate_latin_squares",
+    "enumerate_set_orthogonality",
     "exhaustive_mols_search",
     "export_graph",
     "graph_stats",

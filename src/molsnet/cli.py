@@ -8,6 +8,7 @@ verification, bad file content, unknown vertex), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from collections import Counter
@@ -38,10 +39,30 @@ def _load_set(path: str) -> MolsSet:
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Print text, or replace the file `out` with it in one step.
+
+    The text goes to a temporary file beside the target, which is then
+    renamed over it, so a failed write leaves any old file as it was.
+    """
+    if not out:
         print(text, end="")
+        return
+    target = Path(out)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        handle = open(temp, "x")
+    except OSError as exc:
+        # Name the file the user asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _first_t_indices(mols: MolsSet, t: int) -> list[int]:

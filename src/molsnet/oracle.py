@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import MULTIPARTITE, Edge, PartiteGraph
-from .orthogonality import TupleArray
+from .orthogonality import OrthogonalityReport, SetOrthogonalityReport, SubsetVerdict, TupleArray
 from .squares import LatinSquare, MolsSet
 
 SEARCH_MAX_ORDER = 4      # 576 squares at order 4; order 5 already has 161280
@@ -34,6 +34,43 @@ def brute_force_distinctness(array: TupleArray) -> bool:
             if same:
                 return False
     return True
+
+
+def enumerate_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
+    """Decide every t-subset on its own, comparing all cell pairs.
+
+    For each subset, a row-major double loop compares the tuples of every
+    cell pair a < b element by element.  The first equal pair it meets is
+    the collision certificate, and the distinct count is the number of
+    cells with no earlier equal cell.
+    """
+    size = len(mols.squares)
+    if not 2 <= t <= size:
+        raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
+    n = mols.order
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    verdicts = []
+    for combo in itertools.combinations(range(size), t):
+        picked = [mols.squares[k].cells for k in combo]
+        repeated = [False] * len(cells)
+        first = None
+        for a in range(len(cells)):
+            ia, ja = cells[a]
+            for b in range(a + 1, len(cells)):
+                ib, jb = cells[b]
+                same = True
+                for square in picked:
+                    if square[ia][ja] != square[ib][jb]:
+                        same = False
+                        break
+                if same:
+                    repeated[b] = True
+                    if first is None:
+                        first = ((ia + 1, ja + 1), (ib + 1, jb + 1))
+        distinct = repeated.count(False)
+        report = OrthogonalityReport(first is None, distinct, first)
+        verdicts.append(SubsetVerdict(tuple(k + 1 for k in combo), report))
+    return SetOrthogonalityReport(n, t, tuple(verdicts))
 
 
 def count_edges_brute(graph: PartiteGraph) -> int:

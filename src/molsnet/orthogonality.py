@@ -118,13 +118,61 @@ class SetOrthogonalityReport:
 
 
 def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
-    """Check every t-subset of the set, in index order."""
+    """Check every t-subset of the set; verdicts come in index order.
+
+    The subsets are the leaves of the lexicographic prefix tree of index
+    combinations, walked depth first.  A node holds the collision classes
+    of its prefix: row-major cell positions that share their tuple, with
+    singletons dropped.  Adding a square splits each class by that square's
+    symbol; no class ever merges, because cells that differ on a subset
+    differ on every superset.  So a prefix without classes is orthogonal
+    and so is every completion of it, which is recorded without more work.
+    A node costs at most n^2 dictionary operations, and there are at most
+    t * C(m, t) nodes.
+    """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
-    verdicts = []
-    for combo in itertools.combinations(range(size), t):
-        indices = tuple(i + 1 for i in combo)
-        array = superimpose([mols.squares[i] for i in combo], indices)
-        verdicts.append(SubsetVerdict(indices, is_t_orthogonal(array)))
-    return SetOrthogonalityReport(mols.order, t, tuple(verdicts))
+    n = mols.order
+    flat = [[symbol for row in square.cells for symbol in row] for square in mols.squares]
+    orthogonal = OrthogonalityReport(True, n * n, None)
+    verdicts: list[SubsetVerdict] = []
+
+    def settled(prefix: tuple[int, ...], classes: list[list[int]]) -> bool:
+        """Record the verdicts below a node if they are known; say whether they were."""
+        if not classes:
+            start = prefix[-1] + 1 if prefix else 1
+            verdicts.extend(
+                SubsetVerdict(prefix + rest, orthogonal)
+                for rest in itertools.combinations(range(start, size + 1), t - len(prefix)))
+            return True
+        if len(prefix) < t:
+            return False
+        a, b = min((members[0], members[1]) for members in classes)
+        distinct = n * n - sum(len(members) - 1 for members in classes)
+        first = ((a // n + 1, a % n + 1), (b // n + 1, b % n + 1))
+        verdicts.append(SubsetVerdict(prefix, OrthogonalityReport(False, distinct, first)))
+        return True
+
+    root = [list(range(n * n))] if n > 1 else []
+    # Explicit stack of [prefix, classes, next square to add], so depth is not
+    # bounded by the recursion limit.
+    stack = [] if settled((), root) else [[(), root, 1]]
+    while stack:
+        frame = stack[-1]
+        prefix, classes, k = frame
+        if k > size - t + len(prefix) + 1:
+            stack.pop()
+            continue
+        frame[2] = k + 1
+        column = flat[k - 1]
+        split = []
+        for members in classes:
+            groups: dict[int, list[int]] = {}
+            for position in members:
+                groups.setdefault(column[position], []).append(position)
+            split.extend(group for group in groups.values() if len(group) > 1)
+        child = prefix + (k,)
+        if not settled(child, split):
+            stack.append([child, split, k + 1])
+    return SetOrthogonalityReport(n, t, tuple(verdicts))

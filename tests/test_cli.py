@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from golden import ORDER4_SQUARE_FILE
@@ -34,6 +36,33 @@ class TestGen:
         assert main(["gen", "--order", "4", "--out", str(target)]) == 0
         assert target.read_text() == ORDER4_SQUARE_FILE
         assert capsys.readouterr().out == ""
+
+    def test_out_flag_replaces_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "family.txt"
+        target.write_text("old content that is longer than the new file " * 10)
+        assert main(["gen", "--order", "4", "--out", str(target)]) == 0
+        assert target.read_text() == ORDER4_SQUARE_FILE
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_out_flag_into_a_missing_directory_fails_cleanly(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "family.txt"
+        assert main(["gen", "--order", "4", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(str(target)) in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_out_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "family.txt"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["gen", "--order", "4", "--out", str(target)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert target.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [target]
 
     def test_unconstructible_order_fails(self, capsys):
         assert main(["gen", "--order", "9"]) == 1

@@ -4,11 +4,12 @@ import time
 
 import pytest
 
-from molsnet import (LatinSquare, brute_force_distinctness, brute_force_multiplicity,
+from molsnet import (LatinSquare, MolsSet, brute_force_distinctness, brute_force_multiplicity,
                      build_partite_graph, count_edges_brute, edge_multiplicity,
-                     enumerate_latin_squares, exhaustive_mols_search, is_t_orthogonal,
-                     make_additive_square, make_mols_family, make_turan_graph, superimpose,
-                     turan_edge_count, validate_latin)
+                     enumerate_latin_squares, enumerate_set_orthogonality,
+                     exhaustive_mols_search, is_t_orthogonal, make_additive_square,
+                     make_mols_family, make_turan_graph, superimpose, turan_edge_count,
+                     validate_latin)
 
 
 def scrambled(square, rng):
@@ -46,6 +47,34 @@ class TestBruteForceDistinctness:
 
     def test_rejects_nothing_spuriously(self, family5):
         assert brute_force_distinctness(superimpose(list(family5.squares)))
+
+
+class TestEnumerateSetOrthogonality:
+    def test_order_4_shift_pairs_carry_their_first_collision(self, family4):
+        report = enumerate_set_orthogonality(family4, 2)
+        first = report.verdicts[0]
+        assert first.indices == (1, 2)
+        assert not first.report.is_orthogonal
+        assert first.report.distinct_count == 12
+        assert first.report.first_collision == ((2, 1), (4, 3))
+        assert len(report.failures) == 6
+        assert enumerate_set_orthogonality(family4, 3).all_orthogonal
+
+    def test_repeated_square_keeps_only_the_diagonal_tuples(self, family5):
+        doubled = MolsSet(5, (family5[0], family5[1], family5[0]))
+        verdicts = enumerate_set_orthogonality(doubled, 2).verdicts
+        assert [v.indices for v in verdicts] == [(1, 2), (1, 3), (2, 3)]
+        assert [v.report.is_orthogonal for v in verdicts] == [True, False, True]
+        assert verdicts[1].report.distinct_count == 5
+        assert verdicts[1].report.first_collision == ((1, 1), (2, 5))
+        assert verdicts[0].report.distinct_count == 25
+        assert verdicts[0].report.first_collision is None
+
+    def test_t_must_fit_the_set(self, family5):
+        with pytest.raises(ValueError):
+            enumerate_set_orthogonality(family5, 1)
+        with pytest.raises(ValueError):
+            enumerate_set_orthogonality(family5, 5)
 
 
 class TestCountEdgesBrute:

@@ -1,11 +1,20 @@
 import itertools
+from math import comb
 
 import pytest
 
+import molsnet.orthogonality
 from golden import ORDER4_TRIPLE_ARRAY, ORDER5_QUAD_ARRAY
-from molsnet import (MolsSet, TupleArray, distinct_tuple_count, is_t_orthogonal,
-                     make_additive_square, make_mols_family, make_multiplicative_square,
-                     superimpose, verify_set_orthogonality)
+from molsnet import (LatinSquare, MolsSet, TupleArray, distinct_tuple_count,
+                     enumerate_set_orthogonality, is_prime, is_t_orthogonal, make_additive_square,
+                     make_mols_family, make_multiplicative_square, superimpose,
+                     verify_set_orthogonality)
+from reference import per_subset_verdicts
+
+# Every (order, method) up to order 13 whose family has at least two squares.
+FAMILIES = [(n, method) for n in range(2, 14) for method in ("additive", "shift")
+            if (method == "additive" and is_prime(n) and n > 2)
+            or (method == "shift" and is_prime(n + 1))]
 
 
 class TestSuperimpose:
@@ -154,6 +163,41 @@ class TestVerifySetOrthogonality:
             verify_set_orthogonality(family5, 1)
         with pytest.raises(ValueError):
             verify_set_orthogonality(family5, 5)
+
+    def test_builds_no_tuple_array(self, family5, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("verify_set_orthogonality must not build tuple arrays")
+        monkeypatch.setattr(molsnet.orthogonality, "superimpose", forbidden)
+        monkeypatch.setattr(molsnet.orthogonality, "is_t_orthogonal", forbidden)
+        assert verify_set_orthogonality(family5, 3).all_orthogonal
+        assert not verify_set_orthogonality(make_mols_family(4), 2).all_orthogonal
+
+    def test_subset_depth_is_not_bounded_by_the_recursion_limit(self):
+        square = make_additive_square(2, 1)
+        many = MolsSet(2, (square,) * 1100)
+        (verdict,) = verify_set_orthogonality(many, 1100).verdicts
+        assert verdict.indices == tuple(range(1, 1101))
+        assert verdict.report.distinct_count == 2
+        assert verdict.report.first_collision == ((1, 1), (2, 2))
+
+    def test_order_1_subsets_are_orthogonal(self):
+        one = MolsSet(1, (LatinSquare(1, ((1,),)),) * 3)
+        report = verify_set_orthogonality(one, 2)
+        assert report.verdicts == per_subset_verdicts(one, 2)
+        assert report.all_orthogonal
+
+    @pytest.mark.parametrize("n,method", [case for case in FAMILIES if case[0] <= 7])
+    def test_matches_full_enumeration_oracle(self, n, method):
+        family = make_mols_family(n, method)
+        for t in range(2, len(family) + 1):
+            assert verify_set_orthogonality(family, t) == enumerate_set_orthogonality(family, t)
+
+    @pytest.mark.parametrize("n,method", FAMILIES)
+    def test_matches_per_subset_superimposition(self, n, method):
+        family = make_mols_family(n, method)
+        for t in range(2, len(family) + 1):
+            if comb(len(family), t) <= 2000:
+                assert verify_set_orthogonality(family, t).verdicts == per_subset_verdicts(family, t)
 
 
 class TestFamilyProperties:
