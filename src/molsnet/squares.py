@@ -77,19 +77,18 @@ class ValidationReport:
 
 
 def validate_latin(square: LatinSquare) -> ValidationReport:
-    """Report every duplicated or missing symbol, rows first, then columns."""
+    """Report every duplicated or missing symbol, rows first, then columns.
+    Only a lane that is not a permutation of 1..n has its symbols counted."""
     n = square.order
-    lanes = [("row", i + 1, square.cells[i]) for i in range(n)]
-    lanes += [("column", j + 1, tuple(square.cells[i][j] for i in range(n))) for j in range(n)]
+    symbols = set(range(1, n + 1))
     violations = []
-    for axis, index, lane in lanes:
-        counts = Counter(lane)
-        for symbol in range(1, n + 1):
-            seen = counts.get(symbol, 0)
-            if seen > 1:
-                violations.append(LatinViolation(axis, index, symbol, "duplicate"))
-            elif seen == 0:
-                violations.append(LatinViolation(axis, index, symbol, "missing"))
+    for axis, lanes in (("row", square.cells), ("column", zip(*square.cells))):
+        for index, lane in enumerate(lanes, start=1):
+            if set(lane) != symbols:
+                counts = Counter(lane)
+                violations += [
+                    LatinViolation(axis, index, s, "duplicate" if counts[s] else "missing")
+                    for s in range(1, n + 1) if counts[s] != 1]
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -1,12 +1,16 @@
-"""The per-subset verification path, kept as a reference for the tests.
+"""Straightforward paths kept as references for the tests.
 
-It superimposes and checks each t-subset on its own, the way
-`verify_set_orthogonality` worked before it walked the prefix tree.
+- `per_subset_verdicts` superimposes and checks each t-subset on its own,
+  the way `verify_set_orthogonality` worked before it walked the prefix tree.
+- `count_latin_violations` counts every symbol of every lane, the way
+  `validate_latin` worked before it passed permutation lanes on set equality.
 """
 
 import itertools
+from collections import Counter
 
-from molsnet import SubsetVerdict, is_t_orthogonal, superimpose
+from molsnet import (LatinViolation, SubsetVerdict, ValidationReport, is_t_orthogonal,
+                     superimpose)
 
 
 def per_subset_verdicts(mols, t):
@@ -16,3 +20,20 @@ def per_subset_verdicts(mols, t):
         array = superimpose([mols.squares[i - 1] for i in combo], combo)
         verdicts.append(SubsetVerdict(combo, is_t_orthogonal(array)))
     return tuple(verdicts)
+
+
+def count_latin_violations(square):
+    """The `ValidationReport` of a square, from a per-symbol count of every lane."""
+    n = square.order
+    lanes = [("row", i + 1, square.cells[i]) for i in range(n)]
+    lanes += [("column", j + 1, tuple(square.cells[i][j] for i in range(n))) for j in range(n)]
+    violations = []
+    for axis, index, lane in lanes:
+        counts = Counter(lane)
+        for symbol in range(1, n + 1):
+            seen = counts.get(symbol, 0)
+            if seen > 1:
+                violations.append(LatinViolation(axis, index, symbol, "duplicate"))
+            elif seen == 0:
+                violations.append(LatinViolation(axis, index, symbol, "missing"))
+    return ValidationReport(not violations, tuple(violations))

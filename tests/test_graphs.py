@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from molsnet import (CHAIN, MULTIPARTITE, NotOrthogonalError, PartiteGraph,
+from molsnet import (CHAIN, MULTIPARTITE, NotOrthogonalError, PartiteGraph, TupleArray,
                      build_partite_graph, channels_through, complete_bipartite,
                      edge_multiplicity, graph_stats, is_bipartite, make_complete_multipartite,
                      make_mols_family, make_turan_graph, parse_part_label, part_label,
@@ -160,6 +160,13 @@ class TestBipartiteness:
         report = is_bipartite(make_turan_graph(1, 5))
         assert report.bipartite
         assert len(report.coloring) == 5
+
+    def test_isolated_vertex_in_an_odd_part_takes_its_part_parity(self):
+        # Symbol 2 never appears in position 2, so B2 has no edge.
+        array = TupleArray(2, 3, (((1, 1, 1), (1, 1, 2)), ((2, 1, 1), (2, 1, 2))))
+        report = is_bipartite(build_partite_graph(array))
+        assert report.coloring == (((0, 1), 0), ((0, 2), 0), ((1, 1), 1), ((1, 2), 1),
+                                   ((2, 1), 0), ((2, 2), 0))
 
 
 class TestTuranGraphs:

@@ -1,4 +1,4 @@
-"""Property tests on scrambled square stacks.
+"""Property tests on scrambled square stacks and corrupted inputs.
 
 A stack is drawn from an order 3-7 family made isotopic by one row and one
 column permutation for all squares, an independent symbol relabelling per
@@ -9,17 +9,26 @@ square and a shuffled square order, optionally with one square duplicated.
   oracle, never by the code under test.
 - Subset verification agrees with superimposing every subset on its own,
   is invariant under isotopy, and follows a reordering of the squares.
+- Bipartiteness certificates replay edge by edge on chain graphs, on
+  orthogonal arrays that are not Latin, and on complete multipartite graphs.
+- Latin validation agrees with a per-symbol count of every lane on
+  corrupted grids, and the square-file parser raises nothing but
+  SquareFileError on mutated or arbitrary text.
 """
 
+import contextlib
+import itertools
 from collections import Counter
 
 import pytest
 
-from molsnet import (LatinSquare, MolsSet, NotOrthogonalError, brute_force_distinctness,
+from molsnet import (CHAIN, LatinSquare, MolsSet, NotOrthogonalError, PartiteGraph,
+                     SquareFileError, TupleArray, brute_force_distinctness,
                      brute_force_multiplicity, build_partite_graph, edge_multiplicity,
-                     export_graph, graph_stats, make_mols_family, superimpose,
-                     verify_set_orthogonality, vertex_name)
-from reference import per_subset_verdicts
+                     export_graph, graph_stats, is_bipartite, make_complete_multipartite,
+                     make_mols_family, parse_square_file, serialize_square_file, superimpose,
+                     validate_latin, verify_set_orthogonality, vertex_name)
+from reference import count_latin_violations, per_subset_verdicts
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -135,3 +144,144 @@ def test_reordering_squares_permutes_verdicts(data, case):
     original = {v.indices: v.report for v in verify_set_orthogonality(mols, t).verdicts}
     for verdict in verify_set_orthogonality(moved, t).verdicts:
         assert verdict.report == original[tuple(sorted(order[p - 1] + 1 for p in verdict.indices))]
+
+
+def assert_certificate_replays(graph):
+    report = is_bipartite(graph)
+    assert report.bipartite == (graph.kind == CHAIN or graph.num_parts <= 2)
+    edges = list(graph.sorted_edges())
+    if report.bipartite:
+        assert report.odd_walk is None
+        assert [vertex for vertex, _ in report.coloring] == graph.vertices()
+        color = dict(report.coloring)
+        assert set(color.values()) <= {0, 1}
+        assert all(color[u] != color[v] for u, v in edges)
+    else:
+        walk = report.odd_walk
+        assert report.coloring is None
+        assert walk[0] == walk[-1] and len(walk) % 2 == 0     # closed, odd step count
+        undirected = {frozenset(edge) for edge in edges}
+        assert all(frozenset(step) in undirected for step in zip(walk, walk[1:]))
+
+
+@st.composite
+def sparse_orthogonal_arrays(draw):
+    """n^2 distinct random t-tuples: orthogonal, but a symbol may be missing
+    from a position, which leaves that vertex isolated."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    entries = draw(st.permutations(list(itertools.product(range(1, n + 1), repeat=t))))
+    return TupleArray(n, t, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(scrambled_stacks())
+def test_chain_graph_coloring_replays(array):
+    # Non-orthogonal stacks too: repeated channels leave the parts as they are.
+    assert_certificate_replays(PartiteGraph(CHAIN, (array.order,) * array.arity, array))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sparse_orthogonal_arrays())
+def test_non_latin_chain_graph_coloring_replays(array):
+    assert_certificate_replays(build_partite_graph(array))
+
+
+def test_every_small_complete_multipartite_certificate_replays():
+    for parts in range(1, 6):
+        for sizes in itertools.product(range(1, 4), repeat=parts):
+            assert_certificate_replays(make_complete_multipartite(sizes))
+
+
+@st.composite
+def corrupted_squares(draw):
+    """A scrambled cyclic Latin square of order 1-7 after one to three
+    corruptions: a cell set to a symbol in 0..n+1, a row or a column copied
+    over another, or a transpose."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.permutations(range(n)))
+    columns = draw(st.permutations(range(n)))
+    cells = [[(r + c) % n + 1 for c in columns] for r in rows]
+    index = st.integers(0, n - 1)
+    kinds = st.sampled_from(["symbol", "row", "column", "transpose"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "symbol":
+            cells[draw(index)][draw(index)] = draw(st.integers(0, n + 1))
+        elif kind == "row":
+            cells[draw(index)] = list(cells[draw(index)])
+        elif kind == "column":
+            source, target = draw(index), draw(index)
+            for row in cells:
+                row[target] = row[source]
+        else:
+            cells = [list(column) for column in zip(*cells)]
+    return LatinSquare(n, tuple(tuple(row) for row in cells))
+
+
+def expected_parse_error(square, report):
+    """The SquareFileError of the one-block file of the square, or None."""
+    n = square.order
+    for line, row in enumerate(square.cells, start=2):
+        for column, symbol in enumerate(row, start=1):
+            if not 1 <= symbol <= n:
+                return SquareFileError(f"symbol {symbol} out of range 1..{n}", line, column)
+    if report.ok:
+        return None
+    first = report.violations[0]
+    line = 1 + first.index if first.axis == "row" else 2
+    return SquareFileError(f"block 1 is not a Latin square: {first.describe()}", line)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(corrupted_squares())
+def test_latin_validation_matches_the_per_symbol_count(square):
+    report = count_latin_violations(square)
+    assert validate_latin(square) == report
+    if not report.ok:
+        with pytest.raises(ValueError) as excinfo:
+            MolsSet(square.order, (square,))
+        assert str(excinfo.value) == f"square 1 is not Latin: {report.violations[0].describe()}"
+
+    text = f"{square.order} 1\n" + "".join(" ".join(map(str, row)) + "\n" for row in square.cells)
+    expected = expected_parse_error(square, report)
+    if expected is None:
+        assert parse_square_file(text).squares == (square,)
+        return
+    with pytest.raises(SquareFileError) as excinfo:
+        parse_square_file(text)
+    got = excinfo.value
+    assert (str(got), got.line, got.column) == (str(expected), expected.line, expected.column)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(square_sets())
+def test_parse_inverts_serialize(case):
+    mols, _ = case
+    text = serialize_square_file(mols)
+    parsed = parse_square_file(text)
+    assert parsed == mols
+    assert serialize_square_file(parsed) == text
+
+
+# Characters that int(), str.split() or str.splitlines() treat specially.
+PARSE_ALPHABET = "0123456789+-_x \t\n\r\x0c\x1c\x85\xa0\u0661\u3000"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), squares=scrambled_squares())
+def test_single_character_mutations_raise_only_square_file_errors(data, squares):
+    kept = squares[:data.draw(st.integers(1, 2))]
+    text = serialize_square_file(MolsSet(kept[0].order, tuple(kept)))
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from(PARSE_ALPHABET))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    skip = 0 if edit == "insert" else 1
+    with contextlib.suppress(SquareFileError):
+        parse_square_file(text[:at] + ("" if edit == "delete" else char) + text[at + skip:])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(header=st.sampled_from(["", "1 1\n", "2 1\n", "2 2\n", "3 1\n"]),
+       body=st.text(PARSE_ALPHABET, max_size=40))
+def test_arbitrary_text_raises_only_square_file_errors(header, body):
+    with contextlib.suppress(SquareFileError):
+        parse_square_file(header + body)
