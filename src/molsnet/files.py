@@ -2,9 +2,10 @@
 
 Format: a header line "order count", then count blocks separated by one
 blank line, each block being order lines of order space-separated symbols
-in 1..order.  Serialization ends with a newline; parsing tolerates extra
-blank lines at the end of the file.  Error positions use 1-based lines,
-and columns count whitespace-separated tokens, not characters.
+in 1..order.  Serialization writes plain decimals and ends with a newline;
+parsing accepts any spelling int() does (05, +3, other digit scripts) and
+tolerates extra blank lines at the end of the file.  Error positions use
+1-based lines, and columns count whitespace-separated tokens, not characters.
 """
 
 from __future__ import annotations
@@ -21,6 +22,23 @@ def serialize_square_file(mols: MolsSet) -> str:
             lines.append("")
         lines.extend(" ".join(str(s) for s in row) for row in square.cells)
     return "\n".join(lines) + "\n"
+
+
+def _convert_row(tokens: list[str], order: int, line_no: int) -> tuple[int, ...]:
+    """Convert a row token by token, accepting any spelling int() accepts
+    (05, +3, other digit scripts); raise at the first bad token."""
+    row = []
+    for column, token in enumerate(tokens, start=1):
+        try:
+            value = int(token)
+        except ValueError:
+            raise SquareFileError(f"{token!r} is not an integer",
+                                  line=line_no, column=column) from None
+        if not 1 <= value <= order:
+            raise SquareFileError(f"symbol {value} out of range 1..{order}",
+                                  line=line_no, column=column)
+        row.append(value)
+    return tuple(row)
 
 
 def parse_square_file(text: str) -> MolsSet:
@@ -46,6 +64,7 @@ def parse_square_file(text: str) -> MolsSet:
         raise SquareFileError(f"count must be at least 1, got {count}", line=1)
 
     cursor = 1                     # 0-based index into lines
+    symbols = None                 # canonical spelling of each symbol -> its value
     squares = []
     for block in range(1, count + 1):
         if block > 1:
@@ -62,22 +81,19 @@ def parse_square_file(text: str) -> MolsSet:
                     line=len(lines) + 1)
             line_no = cursor + 1
             tokens = lines[cursor].split()
+            lines[cursor] = None   # release the row's text; its tokens are all that is read
             if len(tokens) != order:
                 raise SquareFileError(
                     f"block {block}: expected {order} symbols, got {len(tokens)}",
                     line=line_no)
-            row = []
-            for column, token in enumerate(tokens, start=1):
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise SquareFileError(f"{token!r} is not an integer",
-                                          line=line_no, column=column) from None
-                if not 1 <= value <= order:
-                    raise SquareFileError(f"symbol {value} out of range 1..{order}",
-                                          line=line_no, column=column)
-                row.append(value)
-            rows.append(tuple(row))
+            if symbols is None:
+                # Built only now, so its size is bounded by the input, not the header.
+                symbols = {str(s): s for s in range(1, order + 1)}
+            try:
+                # Through a list, so the row tuple is allocated at its final size.
+                rows.append(tuple(list(map(symbols.__getitem__, tokens))))
+            except KeyError:
+                rows.append(_convert_row(tokens, order, line_no))
             cursor += 1
         square = LatinSquare(order, tuple(rows), EXTERNAL)
         report = validate_latin(square)

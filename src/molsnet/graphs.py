@@ -9,13 +9,13 @@ degrees ignore direction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from math import comb
 from typing import Iterator, Sequence
 
 from .errors import NotOrthogonalError
-from .orthogonality import Cell, TupleArray, is_t_orthogonal
+from .orthogonality import Cell, TupleArray, cell_of, is_t_orthogonal, stacked_keys
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
 Edge = tuple[Vertex, Vertex]
@@ -89,10 +89,10 @@ class PartiteGraph:
             raise ValueError(f"part sizes {self.part_sizes} do not match the array")
 
     def sorted_edges(self) -> Iterator[Edge]:
-        """Every edge once per occurrence, ascending.  The only code that knows
-        edge order; parallel edges come out as adjacent runs."""
+        """Every edge once per occurrence, ascending, so parallel edges come
+        out as adjacent runs.  The exports walk it; the reports count columns."""
         if self.array is not None:
-            columns = list(zip(*(entry for row in self.array.grid for entry in row)))
+            columns = self.array.columns
             for c in range(self.array.arity - 1):
                 for u, v in sorted(zip(columns[c], columns[c + 1])):
                     yield (c, u), (c + 1, v)
@@ -109,9 +109,11 @@ class PartiteGraph:
     @property
     def chains(self) -> tuple[ChannelChain, ...]:
         """One chain per cell, in row-major cell order; none for multipartite graphs."""
-        grid = self.array.grid if self.array is not None else ()
-        return tuple(ChannelChain((i, j), symbols) for i, row in enumerate(grid, start=1)
-                     for j, symbols in enumerate(row, start=1))
+        if self.array is None:
+            return ()
+        n = self.array.order
+        return tuple(ChannelChain(cell_of(k, n), symbols)
+                     for k, symbols in enumerate(zip(*self.array.columns)))
 
     @property
     def num_parts(self) -> int:
@@ -160,12 +162,24 @@ class MultiplicityReport:
 
 
 def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
-    """Parallel-edge report for a chain graph, sorted by endpoints."""
+    """Parallel-edge report for a chain graph, sorted by endpoints.
+
+    The edges between parts c and c+1 are the symbol pairs of columns c
+    and c+1, so one count of their stacked keys per part pair gives every
+    multiplicity; keys sort as their pairs do.
+    """
     if graph.kind != CHAIN:
         raise ValueError("edge multiplicity applies to chain-construction graphs")
-    runs = ((edge, sum(1 for _ in run)) for edge, run in groupby(graph.sorted_edges()))
-    duplicated = tuple((edge, count) for edge, count in runs if count > 1)
-    return MultiplicityReport(max((count for _, count in duplicated), default=1), duplicated)
+    n, columns = graph.array.order, graph.array.columns
+    duplicated = []
+    for c in range(graph.array.arity - 1):
+        counts = Counter(stacked_keys(columns[c], columns[c + 1], n))
+        if len(counts) < n * n:
+            repeated = sorted(item for item in counts.items() if item[1] > 1)
+            duplicated += [(((c, key // (n + 1)), (c + 1, key % (n + 1))), count)
+                           for key, count in repeated]
+    return MultiplicityReport(max((count for _, count in duplicated), default=1),
+                              tuple(duplicated))
 
 
 @dataclass(frozen=True)
@@ -231,17 +245,28 @@ class GraphStats:
 
 def graph_stats(graph: PartiteGraph) -> GraphStats:
     """Counts, per-part degree sequences (direction ignored, multiplicity
-    counted), and whether the graph is free of parallel edges."""
-    degree = [[0] * (size + 1) for size in graph.part_sizes]
-    simple, previous = True, None
-    for edge in graph.sorted_edges():
-        (p, u), (q, v) = edge
-        degree[p][u] += 1
-        degree[q][v] += 1
-        simple = simple and edge != previous    # parallel copies are adjacent
-        previous = edge
+    counted), and whether the graph is free of parallel edges.
+
+    In a chain graph each cell holding s at part p sends one edge to each
+    neighbouring part, so the degree of (p, s) is the count of s in column
+    p, once in the end parts and twice inside; the graph is simple when
+    every consecutive column pair holds n^2 distinct symbol pairs.  In a
+    complete multipartite graph a vertex meets every vertex outside its part.
+    """
+    if graph.array is None:
+        total = graph.vertex_count
+        degrees = tuple((total - size,) * size for size in graph.part_sizes)
+        return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
+    n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
+    degrees = []
+    for p, column in enumerate(columns):
+        counts = Counter(column)
+        neighbours = 1 if p in (0, t - 1) else 2
+        degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
+    simple = all(len(set(stacked_keys(columns[c], columns[c + 1], n))) == n * n
+                 for c in range(t - 1))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
-                      tuple(tuple(part[1:]) for part in degree), simple)
+                      tuple(degrees), simple)
 
 
 def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain, ...]:
@@ -251,4 +276,6 @@ def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain,
     if not graph.has_vertex(vertex):
         raise ValueError(f"unknown vertex {vertex!r}")
     part, symbol = vertex
-    return tuple(chain for chain in graph.chains if chain.symbols[part] == symbol)
+    n, columns = graph.array.order, graph.array.columns
+    return tuple(ChannelChain(cell_of(k, n), tuple(column[k] for column in columns))
+                 for k, s in enumerate(columns[part]) if s == symbol)

@@ -94,12 +94,13 @@ def brute_force_multiplicity(array: TupleArray) -> dict[Edge, int]:
     the chain graph the array would build; zero counts are omitted.
     """
     n, t = array.order, array.arity
+    grid = array.grid               # derived on each read, so read it once
     counts: dict[Edge, int] = {}
     for c in range(t - 1):
         for u in range(1, n + 1):
             for v in range(1, n + 1):
                 hits = 0
-                for row in array.grid:
+                for row in grid:
                     for entry in row:
                         if entry[c] == u and entry[c + 1] == v:
                             hits += 1

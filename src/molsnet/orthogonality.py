@@ -8,43 +8,103 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Sequence
 
 from .squares import LatinSquare, MolsSet
 
 Cell = tuple[int, int]            # (row, column), 1-based
 SymbolTuple = tuple[int, ...]
+Column = tuple[int, ...]          # one square's symbols, row-major
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TupleArray:
     """n x n grid of ordered t-tuples obtained by stacking t squares.
 
-    source records which 1-based positions of an owning set the squares
-    came from; it is bookkeeping only and ignored by equality.
+    Stored as one row-major flat column of n^2 symbols per square, so
+    columns[p][k] is coordinate p of the tuple in cell k // n + 1, k % n + 1.
+    The grid is derived on demand.  source records which 1-based positions
+    of an owning set the squares came from; it is bookkeeping only and
+    ignored by equality.
     """
 
     order: int
     arity: int
-    grid: tuple[tuple[SymbolTuple, ...], ...]
+    columns: tuple[Column, ...]
     source: tuple[int, ...] = field(default=(), compare=False)
 
-    def __post_init__(self):
-        n, t = self.order, self.arity
+    def __init__(self, order: int, arity: int, grid: Sequence[Sequence[SymbolTuple]],
+                 source: tuple[int, ...] = ()):
+        n, t = order, arity
         if t < 2:
             raise ValueError(f"arity must be at least 2, got {t}")
-        if len(self.grid) != n or any(len(row) != n for row in self.grid):
+        if len(grid) != n or any(len(row) != n for row in grid):
             raise ValueError(f"grid must be {n}x{n}")
-        for row in self.grid:
-            for entry in row:
-                if len(entry) != t:
-                    raise ValueError(f"every entry must have {t} symbols, got {entry!r}")
-                if any(not 1 <= s <= n for s in entry):
-                    raise ValueError(f"symbols must lie in 1..{n}, got {entry!r}")
+        entries = list(itertools.chain.from_iterable(grid))
+        if entries and set(map(len, entries)) != {t}:
+            _raise_first_bad_entry(n, t, entries)
+        columns = tuple(zip(*entries)) if entries else ((),) * t
+        self._set(n, t, columns, source)
+
+    @classmethod
+    def _of_columns(cls, order: int, columns: tuple[Column, ...],
+                    source: tuple[int, ...]) -> TupleArray:
+        array = cls.__new__(cls)
+        array._set(order, len(columns), columns, source)
+        return array
+
+    def _set(self, order: int, arity: int, columns: tuple[Column, ...],
+             source: tuple[int, ...]) -> None:
+        """The one symbol check of both constructors; fields are set only if it passes."""
+        if any(min(column) < 1 or max(column) > order for column in columns if column):
+            _raise_first_bad_entry(order, arity, list(zip(*columns)))
+        for name, value in (("order", order), ("arity", arity), ("columns", columns),
+                            ("source", source)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def grid(self) -> tuple[tuple[SymbolTuple, ...], ...]:
+        n = self.order
+        entries = tuple(zip(*self.columns))
+        return tuple(entries[i * n:(i + 1) * n] for i in range(n))
 
     def tuple_at(self, i: int, j: int) -> SymbolTuple:
         """Tuple in row i, column j (1-based)."""
-        return self.grid[i - 1][j - 1]
+        n = self.order
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"cell ({i}, {j}) lies outside the {n}x{n} grid")
+        k = (i - 1) * n + j - 1
+        return tuple(column[k] for column in self.columns)
+
+
+def _raise_first_bad_entry(n: int, t: int, entries: list[SymbolTuple]) -> None:
+    """Raise for the first malformed entry in row-major order."""
+    for entry in entries:
+        if len(entry) != t:
+            raise ValueError(f"every entry must have {t} symbols, got {entry!r}")
+        if any(not 1 <= s <= n for s in entry):
+            raise ValueError(f"symbols must lie in 1..{n}, got {entry!r}")
+
+
+def cell_of(position: int, n: int) -> Cell:
+    """The 1-based (row, column) of a row-major position in an n x n grid."""
+    return position // n + 1, position % n + 1
+
+
+def stacked_keys(keys: Sequence[int], column: Column, n: int) -> list[int]:
+    """Append a column to per-cell keys: key * (n+1) + symbol.
+
+    Starting from a column, the key of a cell is its prefix of symbols read
+    as a base-(n+1) number.  That is injective because every symbol lies in
+    1..n, and it orders cells the way their symbol tuples sort.
+    """
+    return list(map(add, map(mul, keys, itertools.repeat(n + 1)), column))
+
+
+def _flat_symbols(square: LatinSquare) -> Column:
+    """A square's symbols in row-major order: its column of a stack."""
+    return tuple(itertools.chain.from_iterable(square.cells))
 
 
 def superimpose(squares: Sequence[LatinSquare],
@@ -58,15 +118,10 @@ def superimpose(squares: Sequence[LatinSquare],
     orders = {square.order for square in squares}
     if len(orders) != 1:
         raise ValueError(f"cannot superimpose squares of mixed orders {sorted(orders)}")
-    n = squares[0].order
-    grid = tuple(
-        tuple(tuple(square.cells[i][j] for square in squares) for j in range(n))
-        for i in range(n)
-    )
     src = tuple(source) if source is not None else tuple(range(1, len(squares) + 1))
     if len(src) != len(squares):
         raise ValueError("source must name one position per square")
-    return TupleArray(n, len(squares), grid, src)
+    return TupleArray._of_columns(squares[0].order, tuple(map(_flat_symbols, squares)), src)
 
 
 @dataclass(frozen=True)
@@ -79,21 +134,27 @@ class OrthogonalityReport:
 def is_t_orthogonal(array: TupleArray) -> OrthogonalityReport:
     """Decide whether all n^2 tuples are pairwise distinct.
 
-    On failure, first_collision is the smallest colliding cell pair in
-    row-major order.
+    Decided on prefixes of the stack, keyed by stacked_keys: cells that
+    differ on a prefix differ on the whole tuple, so the first prefix whose
+    n^2 cells are distinct settles it.  On failure, first_collision is the
+    smallest colliding cell pair in row-major order.
     """
-    occurrences: dict[SymbolTuple, list[Cell]] = {}
-    for i, row in enumerate(array.grid, start=1):
-        for j, entry in enumerate(row, start=1):
-            occurrences.setdefault(entry, []).append((i, j))
-    collisions = [(cells[0], cells[1]) for cells in occurrences.values() if len(cells) > 1]
-    first = min(collisions) if collisions else None
-    return OrthogonalityReport(first is None, len(occurrences), first)
+    n, columns = array.order, array.columns
+    keys = columns[0]
+    for column in columns[1:]:
+        keys = stacked_keys(keys, column, n)
+        if len(set(keys)) == n * n:
+            return OrthogonalityReport(True, n * n, None)
+    occurrences: dict[int, list[int]] = {}
+    for position, key in enumerate(keys):
+        occurrences.setdefault(key, []).append(position)
+    a, b = min((members[0], members[1]) for members in occurrences.values() if len(members) > 1)
+    return OrthogonalityReport(False, len(occurrences), (cell_of(a, n), cell_of(b, n)))
 
 
 def distinct_tuple_count(array: TupleArray) -> int:
     """Number of distinct tuples; n^2 exactly when the array is orthogonal."""
-    return len({entry for row in array.grid for entry in row})
+    return len(set(zip(*array.columns)))
 
 
 @dataclass(frozen=True)
@@ -134,7 +195,7 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     if not 2 <= t <= size:
         raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
-    flat = [[symbol for row in square.cells for symbol in row] for square in mols.squares]
+    flat = [_flat_symbols(square) for square in mols.squares]
     orthogonal = OrthogonalityReport(True, n * n, None)
     verdicts: list[SubsetVerdict] = []
 
@@ -150,7 +211,7 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
             return False
         a, b = min((members[0], members[1]) for members in classes)
         distinct = n * n - sum(len(members) - 1 for members in classes)
-        first = ((a // n + 1, a % n + 1), (b // n + 1, b % n + 1))
+        first = (cell_of(a, n), cell_of(b, n))
         verdicts.append(SubsetVerdict(prefix, OrthogonalityReport(False, distinct, first)))
         return True
 

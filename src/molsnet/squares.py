@@ -155,16 +155,17 @@ def make_additive_square(n: int, h: int) -> LatinSquare:
     """Square with cell (i, j) = (i + h*j) mod n, residue 0 written as n.
 
     Needs n prime so that every slope h in 1..n-1 is invertible, which makes
-    each row and column a permutation.
+    each row and column a permutation.  Since h * (j + h^-1) = h*j + 1, row
+    i+1 is row i rotated left by h^-1 mod n, so every row is a slice of the
+    first row written twice.
     """
     if not is_prime(n):
         raise ConstructionError(f"additive square needs a prime order; {n} is not prime")
     if not 1 <= h <= n - 1:
         raise ConstructionError(f"slope must be in 1..{n - 1}, got {h}")
-    cells = tuple(
-        tuple((i + h * j - 1) % n + 1 for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    doubled = tuple(h * j % n + 1 for j in range(1, n + 1)) * 2
+    step = pow(h, -1, n)
+    cells = tuple(doubled[start:start + n] for start in (i * step % n for i in range(n)))
     return LatinSquare(n, cells, f"additive(h={h})")
 
 

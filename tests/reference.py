@@ -4,13 +4,15 @@
   the way `verify_set_orthogonality` worked before it walked the prefix tree.
 - `count_latin_violations` counts every symbol of every lane, the way
   `validate_latin` worked before it passed permutation lanes on set equality.
+- `occurrence_report` groups every cell of the grid by its whole tuple, the
+  way `is_t_orthogonal` worked before it decided on prefixes of the stack.
 """
 
 import itertools
 from collections import Counter
 
-from molsnet import (LatinViolation, SubsetVerdict, ValidationReport, is_t_orthogonal,
-                     superimpose)
+from molsnet import (LatinViolation, OrthogonalityReport, SubsetVerdict, ValidationReport,
+                     is_t_orthogonal, superimpose)
 
 
 def per_subset_verdicts(mols, t):
@@ -37,3 +39,14 @@ def count_latin_violations(square):
             elif seen == 0:
                 violations.append(LatinViolation(axis, index, symbol, "missing"))
     return ValidationReport(not violations, tuple(violations))
+
+
+def occurrence_report(array):
+    """The `OrthogonalityReport` of an array, from a dict of every tuple's cells."""
+    occurrences = {}
+    for i, row in enumerate(array.grid, start=1):
+        for j, entry in enumerate(row, start=1):
+            occurrences.setdefault(entry, []).append((i, j))
+    collisions = [(cells[0], cells[1]) for cells in occurrences.values() if len(cells) > 1]
+    first = min(collisions) if collisions else None
+    return OrthogonalityReport(first is None, len(occurrences), first)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from golden import ORDER4_SQUARE_FILE
@@ -36,6 +38,16 @@ class TestParse:
     def test_parses_golden_file(self, family4):
         assert parse_square_file(ORDER4_SQUARE_FILE) == family4
 
+    def test_any_integer_spelling_parses_to_its_value(self):
+        canonical = parse_square_file("3 1\n1 2 3\n2 3 1\n3 1 2\n")
+        for text in ("3 1\n01 2 3\n2 3 1\n3 1 002\n",
+                     "3 1\n+1 2 3\n2 +3 1\n3 1 2\n",
+                     "3 1\n\u0661 \u0662 \u0663\n2 3 1\n3 \u0661 2\n",
+                     "3 1\n1 2 3\n2 3 1\n+03 \u0661 2\n"):
+            parsed = parse_square_file(text)
+            assert parsed == canonical
+            assert serialize_square_file(parsed) == serialize_square_file(canonical)
+
 
 class TestParseErrors:
     def assert_fails(self, text, fragment, line=None, column=None):
@@ -64,6 +76,24 @@ class TestParseErrors:
     def test_out_of_range_symbol(self):
         self.assert_fails("2 1\n1 2\n2 7\n", "out of range", line=3, column=2)
         self.assert_fails("2 1\n1 2\n2 0\n", "out of range", line=3, column=2)
+
+    def test_errors_after_an_unusual_spelling_keep_their_position(self):
+        self.assert_fails("3 1\n1 2 3\n02 x 1\n3 1 2\n", "'x' is not an integer",
+                          line=3, column=2)
+        self.assert_fails("3 1\n1 2 3\n2 3 1\n+3 1 \u0664\n", "symbol 4 out of range 1..3",
+                          line=4, column=3)
+        self.assert_fails("3 1\n1 2 3\n2 3 1\n3 1 1.0\n", "'1.0' is not an integer",
+                          line=4, column=3)
+
+    def test_huge_header_order_fails_at_the_first_short_row(self):
+        tracemalloc.start()
+        try:
+            self.assert_fails("1000000000 2\n1 2\n", "expected 1000000000 symbols, got 2",
+                              line=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_wrong_row_width(self):
         self.assert_fails("2 1\n1 2\n2\n", "expected 2 symbols", line=3)

@@ -229,6 +229,27 @@ class TestTupleArrayChecks:
         with pytest.raises(ValueError):
             TupleArray(2, 2, (((1, 3), (2, 1)), ((2, 2), (1, 1))))
 
+    def test_messages_name_the_first_bad_entry_in_row_major_order(self):
+        cases = [
+            ((((1, 1), (2, 1, 1)), ((0, 2), (1, 1))), "every entry must have 2 symbols, got (2, 1, 1)"),
+            ((((1, 1), (0, 1)), ((2, 2), (1,))), "symbols must lie in 1..2, got (0, 1)"),
+            ((((1, 1), (2, 1)), ((2, 3), (0, 1))), "symbols must lie in 1..2, got (2, 3)"),
+        ]
+        for grid, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                TupleArray(2, 2, grid)
+            assert str(excinfo.value) == message
+        square = LatinSquare(2, ((1, 2), (2, 3)))
+        with pytest.raises(ValueError, match=r"1\.\.2, got \(2, 3, 3\)"):
+            superimpose([make_additive_square(2, 1), square, square])
+
+    def test_cells_outside_the_grid_are_rejected(self):
+        array = TupleArray(2, 2, (((1, 1), (2, 2)), ((2, 1), (1, 2))))
+        assert array.tuple_at(2, 1) == (2, 1)
+        for i, j in ((0, 1), (1, 0), (3, 1), (1, 3)):
+            with pytest.raises(IndexError):
+                array.tuple_at(i, j)
+
     def test_multiplicative_square_equals_additive_only_where_expected(self):
         # Sanity: the two constructions differ already at order 2 (cells),
         # though both are Latin.

@@ -4,9 +4,13 @@ A stack is drawn from an order 3-7 family made isotopic by one row and one
 column permutation for all squares, an independent symbol relabelling per
 square and a shuffled square order, optionally with one square duplicated.
 
-- Chain graphs of its first t = 2-4 squares agree with the brute-force
-  oracles.  Whether that stack is orthogonal is decided by the quadratic
-  oracle, never by the code under test.
+- Chain graphs of its first t = 2-4 squares, and of orthogonal arrays that
+  are not Latin, agree with the brute-force oracles.  Whether that stack is
+  orthogonal is decided by the quadratic oracle, never by the code under
+  test; a stack that is not is built as a graph directly.
+- The t-orthogonality report agrees with grouping every cell by its whole
+  tuple, on stacks of up to 6 squares and on random arrays, and a tuple
+  array round-trips through its grid.
 - Subset verification agrees with superimposing every subset on its own,
   is invariant under isotopy, and follows a reordering of the squares.
 - Bipartiteness certificates replay edge by edge on chain graphs, on
@@ -24,11 +28,12 @@ import pytest
 
 from molsnet import (CHAIN, LatinSquare, MolsSet, NotOrthogonalError, PartiteGraph,
                      SquareFileError, TupleArray, brute_force_distinctness,
-                     brute_force_multiplicity, build_partite_graph, edge_multiplicity,
-                     export_graph, graph_stats, is_bipartite, make_complete_multipartite,
-                     make_mols_family, parse_square_file, serialize_square_file, superimpose,
-                     validate_latin, verify_set_orthogonality, vertex_name)
-from reference import count_latin_violations, per_subset_verdicts
+                     brute_force_multiplicity, build_partite_graph, distinct_tuple_count,
+                     edge_multiplicity, export_graph, graph_stats, is_bipartite,
+                     is_t_orthogonal, make_complete_multipartite, make_mols_family,
+                     parse_square_file, serialize_square_file, superimpose, validate_latin,
+                     verify_set_orthogonality, vertex_name)
+from reference import count_latin_violations, occurrence_report, per_subset_verdicts
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -52,9 +57,9 @@ def scrambled_squares(draw):
 
 
 @st.composite
-def scrambled_stacks(draw):
+def scrambled_stacks(draw, max_t=4):
     squares = draw(scrambled_squares())
-    t = draw(st.integers(2, min(4, len(squares))))
+    t = draw(st.integers(2, min(max_t, len(squares))))
     return superimpose(squares[:t])
 
 
@@ -65,25 +70,47 @@ def square_sets(draw):
     return MolsSet(squares[0].order, tuple(squares)), draw(st.integers(2, len(squares)))
 
 
+@st.composite
+def sparse_orthogonal_arrays(draw):
+    """n^2 distinct random t-tuples: orthogonal, but a symbol may be missing
+    from a position, which leaves that vertex isolated."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    entries = draw(st.permutations(list(itertools.product(range(1, n + 1), repeat=t))))
+    return TupleArray(n, t, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
+
+
+@st.composite
+def random_arrays(draw):
+    """An n x n grid of random t-tuples over 1..n, so tuples often repeat."""
+    n, t = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    row = st.lists(st.tuples(*[st.integers(1, n)] * t), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return TupleArray(n, t, tuple(map(tuple, rows)))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(scrambled_stacks())
+@given(st.one_of(scrambled_stacks(), sparse_orthogonal_arrays()))
 def test_chain_graph_agrees_with_brute_force_pair_counts(array):
-    if not brute_force_distinctness(array):
+    if brute_force_distinctness(array):
+        graph = build_partite_graph(array)
+    else:
         with pytest.raises(NotOrthogonalError):
             build_partite_graph(array)
-        return
-    graph = build_partite_graph(array)
+        # Built directly, every repeated channel is one more parallel edge.
+        graph = PartiteGraph(CHAIN, (array.order,) * array.arity, array)
     counts = brute_force_multiplicity(array)
     assert Counter(graph.edges) == counts
 
     runs = sorted(counts.items())
-    assert export_graph(graph, "edges").content == "".join(
-        f"{vertex_name(u)} {vertex_name(v)}\n" for (u, v), k in runs for _ in range(k))
-
     degree = Counter()
     for (u, v), k in runs:
         degree[u] += k
         degree[v] += k
+    isolated = "".join(f"{vertex_name(vertex)}\n" for vertex in graph.vertices()
+                       if not degree[vertex])
+    assert export_graph(graph, "edges").content == isolated + "".join(
+        f"{vertex_name(u)} {vertex_name(v)}\n" for (u, v), k in runs for _ in range(k))
+
     stats = graph_stats(graph)
     assert stats.degree_sequences == tuple(
         tuple(degree[(p, s)] for s in range(1, array.order + 1)) for p in range(array.arity))
@@ -92,6 +119,27 @@ def test_chain_graph_agrees_with_brute_force_pair_counts(array):
     report = edge_multiplicity(graph)
     assert report.duplicated_edges == tuple((edge, k) for edge, k in runs if k > 1)
     assert report.max_multiplicity == max(counts.values())
+
+
+any_arrays = st.one_of(scrambled_stacks(max_t=6), random_arrays(), sparse_orthogonal_arrays())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(any_arrays)
+def test_t_orthogonality_matches_the_occurrence_dict(array):
+    report = occurrence_report(array)
+    assert is_t_orthogonal(array) == report
+    assert distinct_tuple_count(array) == report.distinct_count
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(any_arrays)
+def test_tuple_array_round_trips_through_its_grid(array):
+    n, t, grid = array.order, array.arity, array.grid
+    assert TupleArray(n, t, grid) == array
+    assert hash(TupleArray(n, t, grid)) == hash(array)
+    assert [array.tuple_at(i, j) for i in range(1, n + 1) for j in range(1, n + 1)] == \
+        [entry for row in grid for entry in row]
 
 
 def isotopy(draw, kind, mols):
@@ -162,15 +210,6 @@ def assert_certificate_replays(graph):
         assert walk[0] == walk[-1] and len(walk) % 2 == 0     # closed, odd step count
         undirected = {frozenset(edge) for edge in edges}
         assert all(frozenset(step) in undirected for step in zip(walk, walk[1:]))
-
-
-@st.composite
-def sparse_orthogonal_arrays(draw):
-    """n^2 distinct random t-tuples: orthogonal, but a symbol may be missing
-    from a position, which leaves that vertex isolated."""
-    n, t = draw(st.integers(1, 4)), draw(st.integers(2, 4))
-    entries = draw(st.permutations(list(itertools.product(range(1, n + 1), repeat=t))))
-    return TupleArray(n, t, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -89,6 +89,14 @@ class TestAdditiveSquare:
                 expected = (i + 3 * j) % 7
                 assert square.at(i, j) == (expected if expected else 7)
 
+    def test_families_follow_the_closed_form_up_to_order_101(self):
+        # The squares are built as rotations of their first row.
+        for n in filter(is_prime, range(2, 102)):
+            for h, square in enumerate(make_mols_family(n, "additive").squares, start=1):
+                assert square.cells == tuple(
+                    tuple((i + h * j - 1) % n + 1 for j in range(1, n + 1))
+                    for i in range(1, n + 1)), (n, h)
+
     def test_rejects_composite_order(self):
         with pytest.raises(ConstructionError):
             make_additive_square(4, 1)
