@@ -38,6 +38,11 @@ def _load_set(path: str) -> MolsSet:
     return parse_square_file(Path(path).read_text())
 
 
+def _load_squares(path: str) -> list[LatinSquare]:
+    """The squares of a square file, in a list that is their only owner."""
+    return list(_load_set(path).squares)
+
+
 def _write_out(text: str, out: str | None) -> None:
     """Print text, or replace the file `out` with it in one step.
 
@@ -65,15 +70,23 @@ def _write_out(text: str, out: str | None) -> None:
         raise
 
 
-def _first_t_indices(mols: MolsSet, t: int) -> list[int]:
-    if t > len(mols.squares):
-        raise ValueError(f"file holds {len(mols.squares)} squares; cannot take the first {t}")
+def _first_t_indices(squares: list[LatinSquare], t: int) -> list[int]:
+    if t > len(squares):
+        raise ValueError(f"file holds {len(squares)} squares; cannot take the first {t}")
     return list(range(1, t + 1))
 
 
-def _build_chain_graph(mols: MolsSet, indices: list[int]) -> PartiteGraph:
-    array = superimpose([mols.squares[i - 1] for i in indices], indices)
-    return build_partite_graph(array)
+def _build_chain_graph(squares: list[LatinSquare], indices: list[int]) -> PartiteGraph:
+    """Stack squares[i - 1] for i in indices into a chain graph; empties squares.
+
+    The unselected squares are dropped first and each selected one once its
+    column is built, so when the list is their only owner (_load_squares)
+    the rows are freed while the stack is built.  At order 101 with t = 100
+    the rows and the columns take about 8 MB each.
+    """
+    selected = [squares[i - 1] for i in indices]
+    squares.clear()
+    return build_partite_graph(superimpose(selected, indices, consume=True))
 
 
 def cmd_gen(args) -> int:
@@ -104,9 +117,9 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _parse_selection(args, mols: MolsSet) -> list[int]:
+def _parse_selection(args, squares: list[LatinSquare]) -> list[int]:
     if args.squares is None:
-        return _first_t_indices(mols, args.t)
+        return _first_t_indices(squares, args.t)
     try:
         indices = [int(token) for token in args.squares.split(",")]
     except ValueError:
@@ -114,21 +127,21 @@ def _parse_selection(args, mols: MolsSet) -> list[int]:
     if len(indices) != args.t:
         raise UsageError(f"--squares names {len(indices)} squares but --t is {args.t}")
     for index in indices:
-        if not 1 <= index <= len(mols.squares):
-            raise ValueError(f"square index {index} out of range 1..{len(mols.squares)}")
+        if not 1 <= index <= len(squares):
+            raise ValueError(f"square index {index} out of range 1..{len(squares)}")
     return indices
 
 
 def cmd_graph(args) -> int:
-    mols = _load_set(args.infile)
-    graph = _build_chain_graph(mols, _parse_selection(args, mols))
+    squares = _load_squares(args.infile)
+    graph = _build_chain_graph(squares, _parse_selection(args, squares))
     _write_out(export_graph(graph, args.format).content, args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    mols = _load_set(args.infile)
-    graph = _build_chain_graph(mols, _first_t_indices(mols, args.t))
+    squares = _load_squares(args.infile)
+    graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     stats = graph_stats(graph)
     mult = edge_multiplicity(graph)
     bip = is_bipartite(graph)
@@ -148,7 +161,7 @@ def cmd_stats(args) -> int:
         for (u, v), count in mult.duplicated_edges:
             print(f"  {vertex_name(u)} -> {vertex_name(v)} (x{count})")
     print(f"bipartite: {'yes' if bip.bipartite else 'no'}")
-    n, t = mols.order, args.t
+    n, t = graph.array.order, args.t
     if is_prime(n + 1) and 3 <= t <= n:
         if mult.max_multiplicity > 1:
             status = (f"computed max multiplicity is {mult.max_multiplicity}, "
@@ -179,9 +192,9 @@ def _parse_vertex(text: str) -> tuple[int, int]:
 
 
 def cmd_channels(args) -> int:
-    mols = _load_set(args.infile)
+    squares = _load_squares(args.infile)
     vertex = _parse_vertex(args.vertex)
-    graph = _build_chain_graph(mols, _first_t_indices(mols, args.t))
+    graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     chains = channels_through(graph, vertex)
     print(f"{len(chains)} channels through {vertex_name(vertex)}:")
     for chain in chains:

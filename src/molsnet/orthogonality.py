@@ -108,10 +108,13 @@ def _flat_symbols(square: LatinSquare) -> Column:
 
 
 def superimpose(squares: Sequence[LatinSquare],
-                source: Sequence[int] | None = None) -> TupleArray:
+                source: Sequence[int] | None = None, *, consume: bool = False) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
-    source defaults to positions 1..t.
+    source defaults to positions 1..t.  With consume=True, squares must be
+    a list and each entry is set to None once its column is built, so
+    squares that only the list holds are freed one by one while the stack
+    is built: their rows and the stack's columns are never all held at once.
     """
     if len(squares) < 2:
         raise ValueError(f"need at least 2 squares to superimpose, got {len(squares)}")
@@ -121,7 +124,13 @@ def superimpose(squares: Sequence[LatinSquare],
     src = tuple(source) if source is not None else tuple(range(1, len(squares) + 1))
     if len(src) != len(squares):
         raise ValueError("source must name one position per square")
-    return TupleArray._of_columns(squares[0].order, tuple(map(_flat_symbols, squares)), src)
+    order = squares[0].order
+    stack = squares if consume else list(squares)
+    columns = []
+    for k in range(len(stack)):
+        columns.append(_flat_symbols(stack[k]))
+        stack[k] = None
+    return TupleArray._of_columns(order, tuple(columns), src)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import os
+import weakref
 
 import pytest
 
+import molsnet.cli
+import molsnet.orthogonality
+
 from golden import ORDER4_SQUARE_FILE
-from molsnet import make_mols_family, parse_square_file, serialize_square_file
+from molsnet import make_mols_family, parse_square_file, serialize_square_file, superimpose
 from molsnet.cli import main
 
 
@@ -231,6 +235,55 @@ class TestChannels:
         for bad in ("C3", ":3", "C:", "c:3", "C:x"):
             assert main(["channels", "--t", "3", "--in", f4_file, "--vertex", bad]) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+class TestChainGraphStacking:
+    """graph, stats and channels hand the parsed squares over to the stacker,
+    which frees each one once its column is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--t", "4"],
+        ["stats", "--t", "4"],
+        ["channels", "--t", "4", "--vertex", "A:1"],
+    ])
+    def test_each_square_is_freed_once_stacked(self, argv, f5_file, monkeypatch, capsys):
+        refs = []
+        alive = []
+        load_squares = molsnet.cli._load_squares
+        flat_symbols = molsnet.orthogonality._flat_symbols
+
+        def load(path):
+            squares = load_squares(path)
+            refs.extend(weakref.ref(square) for square in squares)
+            return squares
+
+        def spy(square):
+            alive.append([ref() is not None for ref in refs])
+            return flat_symbols(square)
+
+        monkeypatch.setattr(molsnet.cli, "_load_squares", load)
+        monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
+        assert main(argv + ["--in", f5_file]) == 0
+        assert alive == [[j >= k for j in range(4)] for k in range(4)]
+
+    def test_unselected_squares_are_freed_before_stacking(self, f5_file, monkeypatch):
+        squares = molsnet.cli._load_squares(f5_file)
+        refs = [weakref.ref(square) for square in squares]
+        alive = []
+        flat_symbols = molsnet.orthogonality._flat_symbols
+
+        def spy(square):
+            alive.append([ref() is not None for ref in refs])
+            return flat_symbols(square)
+
+        monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
+        graph = molsnet.cli._build_chain_graph(squares, [4, 2])
+        assert alive == [[False, True, False, True], [False, True, False, False]]
+        assert squares == []
+        monkeypatch.undo()
+        family = make_mols_family(5)
+        assert graph.array == superimpose([family[3], family[1]])
+        assert graph.array.source == (4, 2)
 
 
 class TestCheck:

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from math import comb
 
 import pytest
@@ -47,6 +48,29 @@ class TestSuperimpose:
             for j in range(1, 4):
                 x = square.at(i, j)
                 assert array.tuple_at(i, j) == (x, x)
+
+    def test_consume_frees_each_square_once_its_column_is_built(self, monkeypatch):
+        squares = list(make_mols_family(7).squares)
+        refs = [weakref.ref(square) for square in squares]
+        alive = []
+        flat_symbols = molsnet.orthogonality._flat_symbols
+
+        def spy(square):
+            alive.append([ref() is not None for ref in refs])
+            return flat_symbols(square)
+
+        monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
+        array = superimpose(squares, (2, 3, 4, 5, 6, 7), consume=True)
+        assert alive == [[j >= k for j in range(6)] for k in range(6)]
+        assert squares == [None] * 6
+        monkeypatch.undo()
+        assert array == superimpose(list(make_mols_family(7).squares))
+        assert array.source == (2, 3, 4, 5, 6, 7)
+
+    def test_without_consume_the_list_is_left_as_given(self, family5):
+        squares = list(family5.squares)
+        superimpose(squares)
+        assert squares == list(family5.squares)
 
 
 class TestIsTOrthogonal:
