@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import add, mul
-from typing import Sequence
+from operator import add, mul, ne
+from typing import Iterable, Sequence
 
 from .squares import LatinSquare, MolsSet
 
@@ -107,30 +107,27 @@ def _flat_symbols(square: LatinSquare) -> Column:
     return tuple(itertools.chain.from_iterable(square.cells))
 
 
-def superimpose(squares: Sequence[LatinSquare],
-                source: Sequence[int] | None = None, *, consume: bool = False) -> TupleArray:
+def superimpose(squares: Iterable[LatinSquare],
+                source: Sequence[int] | None = None) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
-    source defaults to positions 1..t.  With consume=True, squares must be
-    a list and each entry is set to None once its column is built, so
-    squares that only the list holds are freed one by one while the stack
-    is built: their rows and the stack's columns are never all held at once.
+    squares is read once, in order, and each square is let go once its
+    column is built, so squares that only the iterable holds, such as those
+    a generator hands over, are freed during the stacking.  source defaults
+    to positions 1..t.
     """
-    if len(squares) < 2:
-        raise ValueError(f"need at least 2 squares to superimpose, got {len(squares)}")
-    orders = {square.order for square in squares}
+    orders, columns = set(), []
+    for square in squares:
+        orders.add(square.order)
+        columns.append(_flat_symbols(square))
+    if len(columns) < 2:
+        raise ValueError(f"need at least 2 squares to superimpose, got {len(columns)}")
     if len(orders) != 1:
         raise ValueError(f"cannot superimpose squares of mixed orders {sorted(orders)}")
-    src = tuple(source) if source is not None else tuple(range(1, len(squares) + 1))
-    if len(src) != len(squares):
+    src = tuple(source) if source is not None else tuple(range(1, len(columns) + 1))
+    if len(src) != len(columns):
         raise ValueError("source must name one position per square")
-    order = squares[0].order
-    stack = squares if consume else list(squares)
-    columns = []
-    for k in range(len(stack)):
-        columns.append(_flat_symbols(stack[k]))
-        stack[k] = None
-    return TupleArray._of_columns(order, tuple(columns), src)
+    return TupleArray._of_columns(orders.pop(), tuple(columns), src)
 
 
 @dataclass(frozen=True)
@@ -154,11 +151,21 @@ def is_t_orthogonal(array: TupleArray) -> OrthogonalityReport:
         keys = stacked_keys(keys, column, n)
         if len(set(keys)) == n * n:
             return OrthogonalityReport(True, n * n, None)
-    occurrences: dict[int, list[int]] = {}
-    for position, key in enumerate(keys):
-        occurrences.setdefault(key, []).append(position)
-    a, b = min((members[0], members[1]) for members in occurrences.values() if len(members) > 1)
-    return OrthogonalityReport(False, len(occurrences), (cell_of(a, n), cell_of(b, n)))
+    return _collision_report(keys, n)
+
+
+def _collision_report(keys: Sequence[int], n: int) -> OrthogonalityReport:
+    """The report of a stack whose n^2 per-cell keys are not all distinct.
+
+    firsts[k] is the first position holding the key of position k.  The
+    smallest position some later position points back to is the first cell
+    of the certificate, and the next position pointing to it is the second.
+    """
+    seen: dict[int, int] = {}
+    firsts = list(map(seen.setdefault, keys, range(n * n)))
+    a = min(itertools.compress(firsts, map(ne, firsts, range(n * n))))
+    b = firsts.index(a, a + 1)
+    return OrthogonalityReport(False, len(seen), (cell_of(a, n), cell_of(b, n)))
 
 
 def distinct_tuple_count(array: TupleArray) -> int:
@@ -191,14 +198,12 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     """Check every t-subset of the set; verdicts come in index order.
 
     The subsets are the leaves of the lexicographic prefix tree of index
-    combinations, walked depth first.  A node holds the collision classes
-    of its prefix: row-major cell positions that share their tuple, with
-    singletons dropped.  Adding a square splits each class by that square's
-    symbol; no class ever merges, because cells that differ on a subset
-    differ on every superset.  So a prefix without classes is orthogonal
-    and so is every completion of it, which is recorded without more work.
-    A node costs at most n^2 dictionary operations, and there are at most
-    t * C(m, t) nodes.
+    combinations, walked depth first.  A node holds the stacked_keys of its
+    prefix, one per cell, built from its parent's keys and one more column.
+    Cells that differ on a prefix differ on every extension of it, so a
+    node whose n^2 keys are distinct settles all its completions as
+    orthogonal without more work.  A failing leaf reads its certificate
+    off its keys, as is_t_orthogonal does.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
@@ -207,42 +212,24 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     flat = [_flat_symbols(square) for square in mols.squares]
     orthogonal = OrthogonalityReport(True, n * n, None)
     verdicts: list[SubsetVerdict] = []
-
-    def settled(prefix: tuple[int, ...], classes: list[list[int]]) -> bool:
-        """Record the verdicts below a node if they are known; say whether they were."""
-        if not classes:
-            start = prefix[-1] + 1 if prefix else 1
-            verdicts.extend(
-                SubsetVerdict(prefix + rest, orthogonal)
-                for rest in itertools.combinations(range(start, size + 1), t - len(prefix)))
-            return True
-        if len(prefix) < t:
-            return False
-        a, b = min((members[0], members[1]) for members in classes)
-        distinct = n * n - sum(len(members) - 1 for members in classes)
-        first = (cell_of(a, n), cell_of(b, n))
-        verdicts.append(SubsetVerdict(prefix, OrthogonalityReport(False, distinct, first)))
-        return True
-
-    root = [list(range(n * n))] if n > 1 else []
-    # Explicit stack of [prefix, classes, next square to add], so depth is not
+    # Explicit stack of [prefix, keys, next square to add], so depth is not
     # bounded by the recursion limit.
-    stack = [] if settled((), root) else [[(), root, 1]]
+    stack = [[(), (), 1]]
     while stack:
         frame = stack[-1]
-        prefix, classes, k = frame
+        prefix, keys, k = frame
         if k > size - t + len(prefix) + 1:
             stack.pop()
             continue
         frame[2] = k + 1
-        column = flat[k - 1]
-        split = []
-        for members in classes:
-            groups: dict[int, list[int]] = {}
-            for position in members:
-                groups.setdefault(column[position], []).append(position)
-            split.extend(group for group in groups.values() if len(group) > 1)
         child = prefix + (k,)
-        if not settled(child, split):
-            stack.append([child, split, k + 1])
+        child_keys = stacked_keys(keys, flat[k - 1], n) if prefix else flat[k - 1]
+        if len(set(child_keys)) == n * n:
+            verdicts.extend(
+                SubsetVerdict(child + rest, orthogonal)
+                for rest in itertools.combinations(range(k + 1, size + 1), t - len(child)))
+        elif len(child) == t:
+            verdicts.append(SubsetVerdict(child, _collision_report(child_keys, n)))
+        else:
+            stack.append([child, child_keys, k + 1])
     return SetOrthogonalityReport(n, t, tuple(verdicts))

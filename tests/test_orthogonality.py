@@ -36,6 +36,8 @@ class TestSuperimpose:
     def test_needs_at_least_two_squares(self, family5):
         with pytest.raises(ValueError):
             superimpose([family5[0]])
+        with pytest.raises(ValueError, match="need at least 2 squares to superimpose, got 1"):
+            superimpose(iter([family5[0]]))
 
     def test_rejects_mixed_orders(self, family4, family5):
         with pytest.raises(ValueError):
@@ -59,8 +61,14 @@ class TestSuperimpose:
             alive.append([ref() is not None for ref in refs])
             return flat_symbols(square)
 
+        def handed_over():
+            # The list lets go of each square as it is yielded.
+            for k in range(len(squares)):
+                square, squares[k] = squares[k], None
+                yield square
+
         monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
-        array = superimpose(squares, (2, 3, 4, 5, 6, 7), consume=True)
+        array = superimpose(handed_over(), (2, 3, 4, 5, 6, 7))
         assert alive == [[j >= k for j in range(6)] for k in range(6)]
         assert squares == [None] * 6
         monkeypatch.undo()
@@ -203,6 +211,16 @@ class TestVerifySetOrthogonality:
         assert verdict.indices == tuple(range(1, 1101))
         assert verdict.report.distinct_count == 2
         assert verdict.report.first_collision == ((1, 1), (2, 2))
+
+    def test_keys_past_64_bits_with_mixed_verdicts(self, family5):
+        # The prefixes of 26 copies of one square fail with keys up to
+        # 6^26, about 2^67; adding the other square makes them orthogonal.
+        mols = MolsSet(5, (family5[0],) * 26 + (family5[1],))
+        report = verify_set_orthogonality(mols, 26)
+        assert report == enumerate_set_orthogonality(mols, 26)
+        assert report.verdicts == per_subset_verdicts(mols, 26)
+        assert [v.indices for v in report.failures] == [tuple(range(1, 27))]
+        assert len(report.verdicts) == 27
 
     def test_order_1_subsets_are_orthogonal(self):
         one = MolsSet(1, (LatinSquare(1, ((1,),)),) * 3)

@@ -11,8 +11,10 @@ square and a shuffled square order, optionally with one square duplicated.
 - The t-orthogonality report agrees with grouping every cell by its whole
   tuple, on stacks of up to 6 squares and on random arrays, and a tuple
   array round-trips through its grid.
-- Subset verification agrees with superimposing every subset on its own,
-  is invariant under isotopy, and follows a reordering of the squares.
+- Subset verification agrees with superimposing every subset on its own
+  and, report for report with distinct counts and certificates, with the
+  full-enumeration oracle; it is invariant under isotopy and follows a
+  reordering of the squares.
 - Bipartiteness certificates replay edge by edge on chain graphs, on
   orthogonal arrays that are not Latin, and on complete multipartite graphs.
 - Latin validation agrees with a per-symbol count of every lane on
@@ -29,8 +31,8 @@ import pytest
 from molsnet import (CHAIN, LatinSquare, MolsSet, NotOrthogonalError, PartiteGraph,
                      SquareFileError, TupleArray, brute_force_distinctness,
                      brute_force_multiplicity, build_partite_graph, distinct_tuple_count,
-                     edge_multiplicity, export_graph, graph_stats, is_bipartite,
-                     is_t_orthogonal, make_complete_multipartite, make_mols_family,
+                     edge_multiplicity, enumerate_set_orthogonality, export_graph, graph_stats,
+                     is_bipartite, is_t_orthogonal, make_complete_multipartite, make_mols_family,
                      parse_square_file, serialize_square_file, superimpose, validate_latin,
                      verify_set_orthogonality, vertex_name)
 from reference import count_latin_violations, occurrence_report, per_subset_verdicts
@@ -169,7 +171,11 @@ def _verdicts(report):
 @given(square_sets())
 def test_verify_agrees_with_superimposing_every_subset(case):
     mols, t = case
-    assert verify_set_orthogonality(mols, t).verdicts == per_subset_verdicts(mols, t)
+    report = verify_set_orthogonality(mols, t)
+    assert report.verdicts == per_subset_verdicts(mols, t)
+    # per_subset_verdicts shares its certificate code with verify through
+    # is_t_orthogonal; the oracle compares cell pairs and shares nothing.
+    assert report == enumerate_set_orthogonality(mols, t)
 
 
 @pytest.mark.parametrize("kind", ["rows", "columns", "transpose", "symbols"])
