@@ -7,9 +7,13 @@ To record them again, only when an output change is intended, run from
 the repository root:
 
     PYTHONPATH=src python3 tests/test_goldens.py
+
+The exports of two large graphs, tens of MB each, are pinned by their
+sha256 digests in LARGE_DIGESTS instead of files.
 """
 
 import contextlib
+import hashlib
 import io
 import runpy
 import tempfile
@@ -40,6 +44,23 @@ GRAPHS = {
     "turan_3_5": lambda: make_turan_graph(3, 5),
     "turan_1_3": lambda: make_turan_graph(1, 3),
     "nonlatin_order2_t3": lambda: build_partite_graph(NON_LATIN_ORDER2),
+}
+
+
+# The order-101 additive graph at t=100 (1,010,000 edges) and the order-60
+# shift multigraph at t=59 (208,800 edges, each part pair in parallel runs).
+LARGE_GRAPHS = {
+    "additive101_t100": lambda: _chain(101, 100),
+    "shift60_t59": lambda: _chain(60, 59),
+}
+
+LARGE_DIGESTS = {
+    "additive101_t100.dot": "6164764783ff4ace5e717b9673ae3721052c561dbdf979f0952408e16ac9b4e1",
+    "additive101_t100.edges": "0791066f80b8f71be9152a0cbc049c831afec20b4e41747277c68505648eb030",
+    "additive101_t100.json": "2764f37de1db391a57651233f31e974414d35652fa54157080e8dbe7060c1954",
+    "shift60_t59.dot": "ff932b3d25ad06d97537201baff5f4502c21a2aec0cb00aeb246d7700cb0d77b",
+    "shift60_t59.edges": "102231461bfea0f7dc4c08273cceba32b1db6b57503454e2bfc58b41fab7fae9",
+    "shift60_t59.json": "65dbe644e953e0348440ffe2c790b1a1fba9f732d627bcc8627b6c6692b3efad",
 }
 
 
@@ -114,6 +135,18 @@ def rendered():
     + list(VERIFY) + list(DEMO_GOLDENS)))
 def test_output_matches_golden(rendered, filename):
     assert rendered[filename].encode() == (GOLDENS / filename).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def large_graphs():
+    return {name: build() for name, build in LARGE_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("filename", sorted(LARGE_DIGESTS))
+def test_large_export_matches_digest(large_graphs, filename):
+    name, fmt = filename.split(".")
+    content = export_graph(large_graphs[name], fmt).content
+    assert hashlib.sha256(content.encode()).hexdigest() == LARGE_DIGESTS[filename]
 
 
 if __name__ == "__main__":
