@@ -1,17 +1,24 @@
 """Graph exports.  Identical graphs always yield byte-identical output:
 vertices are emitted part by part and edges in sorted order, with parallel
 edges repeated.
+
+Every format formats its edges from one stream of (tail, head) name pairs
+with one run per part pair of a chain graph, in `sorted_edges` order, and
+each run becomes text in one `str.join`, so no step runs once per edge in
+Python.  The text is kept as a list of chunks and joined once at the end.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv, mod
+from typing import Iterable, Iterator
 
 from .graphs import CHAIN, PartiteGraph, part_label, vertex_name
 
 FORMATS = ("dot", "edges", "json")
-
 
 @dataclass(frozen=True)
 class GraphExport:
@@ -21,14 +28,14 @@ class GraphExport:
 
 def export_graph(graph: PartiteGraph, fmt: str) -> GraphExport:
     if fmt == "dot":
-        content = _to_dot(graph)
+        chunks = _to_dot(graph)
     elif fmt == "edges":
-        content = _to_edge_list(graph)
+        chunks = _to_edge_list(graph)
     elif fmt == "json":
-        content = _to_json(graph)
+        chunks = _to_json(graph)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
-    return GraphExport(fmt, content)
+    return GraphExport(fmt, "".join(chunks))
 
 
 def _vertex_names(graph: PartiteGraph) -> list[list[str]]:
@@ -37,18 +44,44 @@ def _vertex_names(graph: PartiteGraph) -> list[list[str]]:
             for p, size in enumerate(graph.part_sizes)]
 
 
-def _to_edge_list(graph: PartiteGraph) -> str:
+def _name_runs(graph: PartiteGraph, names: list[list[str]]) -> Iterator[Iterable[tuple[str, str]]]:
+    """The edges as (tail, head) names in `sorted_edges` order, in nonempty runs.
+
+    A chain graph gives one run per part pair, decoded from that pair's
+    sorted keys tail * (n+1) + head; a complete multipartite graph gives
+    one run walking `sorted_edges`, or none when it has a single part.
+    """
+    if graph.array is None:
+        if graph.edge_count:
+            yield ((names[p][u], names[q][v]) for (p, u), (q, v) in graph.sorted_edges())
+        return
+    base = repeat(graph.array.order + 1)
+    for c, keys in enumerate(graph.sorted_edge_keys()):
+        yield zip(map(names[c].__getitem__, map(floordiv, keys, base)),
+                  map(names[c + 1].__getitem__, map(mod, keys, base)))
+
+
+def _isolated_names(graph: PartiteGraph, names: list[list[str]]) -> list[str]:
+    """Vertices on no edge, part by part: in a chain graph the symbols
+    absent from their part's column; in a complete multipartite graph
+    every vertex when there is a single part, otherwise none."""
+    if graph.array is None:
+        return names[0][1:] if graph.num_parts == 1 else []
+    symbols = range(1, graph.array.order + 1)
+    return [names[p][s] for p, column in enumerate(graph.array.columns)
+            for s in sorted(set(symbols).difference(column))]
+
+
+def _to_edge_list(graph: PartiteGraph) -> list[str]:
     # Isolated vertices get a bare declaration line so they are not lost.
     names = _vertex_names(graph)
-    touched, lines = set(), []
-    for u, v in graph.sorted_edges():
-        touched.update((u, v))
-        lines.append(f"{names[u[0]][u[1]]} {names[v[0]][v[1]]}")
-    isolated = [names[p][s] for p, s in graph.vertices() if (p, s) not in touched]
-    return "\n".join(isolated + lines) + "\n"
+    chunks = [f"{name}\n" for name in _isolated_names(graph, names)]
+    for run in _name_runs(graph, names):
+        chunks += ("\n".join(map(" ".join, run)), "\n")
+    return chunks
 
 
-def _to_dot(graph: PartiteGraph) -> str:
+def _to_dot(graph: PartiteGraph) -> list[str]:
     directed = graph.kind == CHAIN
     keyword, connector = ("digraph", "->") if directed else ("graph", "--")
     names = _vertex_names(graph)
@@ -59,14 +92,14 @@ def _to_dot(graph: PartiteGraph) -> str:
         lines.append(f'    label="{label}";')
         lines.extend(f"    {name};" for name in part[1:])
         lines.append("  }")
-    for u, v in graph.sorted_edges():
-        lines.append(f"  {names[u[0]][u[1]]} {connector} {names[v[0]][v[1]]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    chunks = ["\n".join(lines), "\n"]
+    for run in _name_runs(graph, names):
+        chunks += ("  ", ";\n  ".join(map(f" {connector} ".join, run)), ";\n")
+    chunks.append("}\n")
+    return chunks
 
 
-def _to_json(graph: PartiteGraph) -> str:
-    names = _vertex_names(graph)
+def _to_json(graph: PartiteGraph) -> list[str]:
     payload = {
         "kind": graph.kind,
         "directed": graph.kind == CHAIN,
@@ -76,6 +109,15 @@ def _to_json(graph: PartiteGraph) -> str:
         ],
         "vertex_count": graph.vertex_count,
         "edge_count": graph.edge_count,
-        "edges": [[names[u[0]][u[1]], names[v[0]][v[1]]] for u, v in graph.sorted_edges()],
+        "edges": [],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    header = json.dumps(payload, indent=2)
+    # Vertex names match [A-Z]+[0-9]+, which JSON string escaping leaves
+    # unchanged, so each run is laid out as indent=2 would lay it out.
+    runs = ('    [\n      "' + '"\n    ],\n    [\n      "'.join(map('",\n      "'.join, run))
+            + '"\n    ]' for run in _name_runs(graph, _vertex_names(graph)))
+    edges = ",\n".join(runs)
+    if not edges:
+        return [header, "\n"]
+    # "edges" is the last key, so the header ends in its empty list.
+    return [header.removesuffix("[]\n}"), "[\n", edges, "\n  ]\n}\n"]

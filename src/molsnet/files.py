@@ -16,11 +16,12 @@ from .squares import EXTERNAL, LatinSquare, MolsSet, validate_latin
 
 def serialize_square_file(mols: MolsSet) -> str:
     """Render a set in the text format; inverse of parse_square_file."""
+    spell = [str(s) for s in range(mols.order + 1)]
     lines = [f"{mols.order} {len(mols.squares)}"]
     for position, square in enumerate(mols.squares):
         if position:
             lines.append("")
-        lines.extend(" ".join(str(s) for s in row) for row in square.cells)
+        lines.extend(" ".join(map(spell.__getitem__, row)) for row in square.cells)
     return "\n".join(lines) + "\n"
 
 

@@ -90,17 +90,30 @@ class PartiteGraph:
 
     def sorted_edges(self) -> Iterator[Edge]:
         """Every edge once per occurrence, ascending, so parallel edges come
-        out as adjacent runs.  The exports walk it; the reports count columns."""
+        out as adjacent runs.  A chain graph's edges are decoded from
+        `sorted_edge_keys`, which the exports read too; the reports count
+        columns."""
         if self.array is not None:
-            columns = self.array.columns
-            for c in range(self.array.arity - 1):
-                for u, v in sorted(zip(columns[c], columns[c + 1])):
+            base = self.array.order + 1
+            for c, keys in enumerate(self.sorted_edge_keys()):
+                for key in keys:
+                    u, v = divmod(key, base)
                     yield (c, u), (c + 1, v)
             return
         for p, u in self.vertices():
             for q in range(p + 1, self.num_parts):
                 for v in range(1, self.part_sizes[q] + 1):
                     yield (p, u), (q, v)
+
+    def sorted_edge_keys(self) -> Iterator[list[int]]:
+        """Per part pair c of a chain graph, the keys u * (n+1) + v of its
+        edges (c, u) -> (c+1, v), ascending: stacked keys sort as their
+        symbol pairs do, so this is the one definition of the edge order."""
+        n, columns = self.array.order, self.array.columns
+        for c in range(self.array.arity - 1):
+            keys = stacked_keys(columns[c], columns[c + 1], n)
+            keys.sort()
+            yield keys
 
     @property
     def edges(self) -> tuple[Edge, ...]:

@@ -6,13 +6,18 @@
   `validate_latin` worked before it passed permutation lanes on set equality.
 - `occurrence_report` groups every cell of the grid by its whole tuple, the
   way `is_t_orthogonal` worked before it decided on prefixes of the stack.
+- `per_edge_export` formats one edge at a time from `sorted_edges()` and
+  finds isolated vertices by marking every edge's endpoints, the way
+  `export_graph` worked before it joined one run of names per part pair
+  from the sorted edge keys.
 """
 
 import itertools
+import json
 from collections import Counter
 
-from molsnet import (LatinViolation, OrthogonalityReport, SubsetVerdict, ValidationReport,
-                     is_t_orthogonal, superimpose)
+from molsnet import (CHAIN, LatinViolation, OrthogonalityReport, SubsetVerdict,
+                     ValidationReport, is_t_orthogonal, part_label, superimpose, vertex_name)
 
 
 def per_subset_verdicts(mols, t):
@@ -50,3 +55,36 @@ def occurrence_report(array):
     collisions = [(cells[0], cells[1]) for cells in occurrences.values() if len(cells) > 1]
     first = min(collisions) if collisions else None
     return OrthogonalityReport(first is None, len(occurrences), first)
+
+
+def per_edge_export(graph, fmt):
+    """The text of `export_graph(graph, fmt)`, built edge by edge."""
+    names = [[""] + [vertex_name((p, s)) for s in range(1, size + 1)]
+             for p, size in enumerate(graph.part_sizes)]
+    # Sorted again as vertex tuples, so the order of sorted_edges is checked,
+    # not assumed.
+    vertex_pairs = sorted(graph.sorted_edges())
+    edges = [(names[u[0]][u[1]], names[v[0]][v[1]]) for u, v in vertex_pairs]
+    if fmt == "edges":
+        touched = {vertex for pair in vertex_pairs for vertex in pair}
+        isolated = [names[p][s] for p, s in graph.vertices() if (p, s) not in touched]
+        return "\n".join(isolated + [f"{u} {v}" for u, v in edges]) + "\n"
+    if fmt == "dot":
+        keyword, connector = ("digraph", "->") if graph.kind == CHAIN else ("graph", "--")
+        lines = [f"{keyword} G {{"]
+        for p, part in enumerate(names):
+            label = part_label(p)
+            lines += [f"  subgraph cluster_{label} {{", f'    label="{label}";']
+            lines += [f"    {name};" for name in part[1:]] + ["  }"]
+        lines += [f"  {u} {connector} {v};" for u, v in edges] + ["}"]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "kind": graph.kind,
+        "directed": graph.kind == CHAIN,
+        "parts": [{"label": part_label(p), "size": size}
+                  for p, size in enumerate(graph.part_sizes)],
+        "vertex_count": graph.vertex_count,
+        "edge_count": graph.edge_count,
+        "edges": [list(edge) for edge in edges],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -1,9 +1,12 @@
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from molsnet import (build_partite_graph, export_graph, make_complete_multipartite,
-                     make_turan_graph, superimpose)
+from molsnet import (CHAIN, FORMATS, PartiteGraph, TupleArray, build_partite_graph, export_graph, make_complete_multipartite,
+                     make_mols_family, make_turan_graph, superimpose)
+from reference import per_edge_export
 
 
 def order4_graph(family4):
@@ -22,6 +25,17 @@ class TestEdgeListFormat:
     def test_isolated_vertices_get_declarations(self):
         content = export_graph(make_turan_graph(1, 3), "edges").content
         assert content == "A1\nA2\nA3\n"
+
+    def test_isolated_chain_vertices_come_part_by_part_in_symbol_order(self):
+        # Every cell holds (1, j, 2): A2, A3, C1 and C3 lie on no edge, and
+        # each edge is repeated once per row.
+        row = tuple((1, j, 2) for j in (1, 2, 3))
+        graph = PartiteGraph(CHAIN, (3, 3, 3), TupleArray(3, 3, (row,) * 3))
+        content = export_graph(graph, "edges").content
+        assert content == "A2\nA3\nC1\nC3\n" + "".join(
+            f"{edge}\n" * 3 for edge in ("A1 B1", "A1 B2", "A1 B3", "B1 C2", "B2 C2", "B3 C2"))
+        for fmt in FORMATS:
+            assert export_graph(graph, fmt).content == per_edge_export(graph, fmt)
 
     def test_mixed_isolated_and_edges(self):
         graph = make_complete_multipartite((1, 2))
@@ -88,5 +102,29 @@ class TestDeterminism:
 
 
 def test_unknown_format_is_rejected(family4):
-    with pytest.raises(ValueError):
-        export_graph(order4_graph(family4), "yaml")
+    for fmt in ("yaml", "xml"):
+        with pytest.raises(ValueError) as excinfo:
+            export_graph(order4_graph(family4), fmt)
+        assert str(excinfo.value) == f"unknown format '{fmt}'; expected one of dot, edges, json"
+
+
+def test_every_small_complete_multipartite_graph_matches_the_per_edge_exporter():
+    for parts in range(1, 6):
+        for sizes in itertools.product(range(1, 4), repeat=parts):
+            graph = make_complete_multipartite(sizes)
+            for fmt in FORMATS:
+                assert export_graph(graph, fmt).content == per_edge_export(graph, fmt), sizes
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_peak_memory_stays_within_three_times_its_output(fmt):
+    # Order 43, t=42: 75,809 edges.  Smaller orders run relatively higher,
+    # since their fixed costs weigh more against their output.
+    graph = build_partite_graph(superimpose(list(make_mols_family(43).squares)))
+    tracemalloc.start()
+    try:
+        content = export_graph(graph, fmt).content
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(content)

@@ -15,6 +15,9 @@ square and a shuffled square order, optionally with one square duplicated.
   and, report for report with distinct counts and certificates, with the
   full-enumeration oracle; it is invariant under isotopy and follows a
   reordering of the squares.
+- The three exports equal the per-edge reference exporter byte for byte on
+  scrambled stacks, on orthogonal arrays with isolated vertices, and on
+  random arrays built as graphs directly, parallel edges included.
 - Bipartiteness certificates replay edge by edge on chain graphs, on
   orthogonal arrays that are not Latin, and on complete multipartite graphs.
 - Latin validation agrees with a per-symbol count of every lane on
@@ -28,14 +31,15 @@ from collections import Counter
 
 import pytest
 
-from molsnet import (CHAIN, LatinSquare, MolsSet, NotOrthogonalError, PartiteGraph,
+from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError, PartiteGraph,
                      SquareFileError, TupleArray, brute_force_distinctness,
                      brute_force_multiplicity, build_partite_graph, distinct_tuple_count,
                      edge_multiplicity, enumerate_set_orthogonality, export_graph, graph_stats,
                      is_bipartite, is_t_orthogonal, make_complete_multipartite, make_mols_family,
                      parse_square_file, serialize_square_file, superimpose, validate_latin,
                      verify_set_orthogonality, vertex_name)
-from reference import count_latin_violations, occurrence_report, per_subset_verdicts
+from reference import (count_latin_violations, occurrence_report, per_edge_export,
+                       per_subset_verdicts)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -142,6 +146,15 @@ def test_tuple_array_round_trips_through_its_grid(array):
     assert hash(TupleArray(n, t, grid)) == hash(array)
     assert [array.tuple_at(i, j) for i in range(1, n + 1) for j in range(1, n + 1)] == \
         [entry for row in grid for entry in row]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(scrambled_stacks(), sparse_orthogonal_arrays(), random_arrays()))
+def test_exports_agree_with_the_per_edge_exporter(array):
+    # Built directly, so arrays that are not t-orthogonal export as multigraphs.
+    graph = PartiteGraph(CHAIN, (array.order,) * array.arity, array)
+    for fmt in FORMATS:
+        assert export_graph(graph, fmt).content == per_edge_export(graph, fmt)
 
 
 def isotopy(draw, kind, mols):
