@@ -6,7 +6,8 @@ Graphs: multipartite channel graphs, complete multipartite and Turan
 graphs, with brute-force oracles cross-checking every computed quantity.
 """
 
-from .errors import ConstructionError, MolsNetError, NotOrthogonalError, SquareFileError
+from .errors import (ConstructionError, MolsNetError, NotLatinError, NotOrthogonalError,
+                     SquareFileError)
 from .export import FORMATS, GraphExport, export_graph
 from .files import parse_square_file, serialize_square_file
 from .graphs import (CHAIN, MULTIPARTITE, BipartitenessReport, ChannelChain, GraphStats,
@@ -38,6 +39,7 @@ __all__ = [
     "MolsNetError",
     "MolsSet",
     "MultiplicityReport",
+    "NotLatinError",
     "NotOrthogonalError",
     "OrthogonalityReport",
     "PartiteGraph",

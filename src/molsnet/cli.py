@@ -94,7 +94,7 @@ def _build_chain_graph(squares: list[LatinSquare], indices: list[int]) -> Partit
     """
     selected = [squares[i - 1] for i in indices]
     squares.clear()
-    return build_partite_graph(superimpose(_handed_over(selected), indices))
+    return build_partite_graph(superimpose(_handed_over(selected)))
 
 
 def cmd_gen(args) -> int:
@@ -248,8 +248,7 @@ def cmd_check(args) -> int:
     ok = True
     for n, t in ((4, 3), (5, 4), (7, 3)):
         family = make_mols_family(n)
-        indices = list(range(1, t + 1))
-        array = superimpose([family.squares[i - 1] for i in indices], indices)
+        array = superimpose(family.squares[:t])
         graph = build_partite_graph(array)
         pair_counts = brute_force_multiplicity(array)
         if Counter(graph.edges) != Counter(pair_counts):

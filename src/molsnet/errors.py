@@ -24,6 +24,14 @@ class NotOrthogonalError(MolsNetError):
         )
 
 
+class NotLatinError(MolsNetError, ValueError):
+    """Square `position` (1-based) of a set is not Latin; `violation` is its first fault."""
+
+    def __init__(self, position: int, violation):
+        self.position, self.violation = position, violation
+        super().__init__(f"square {position} is not Latin: {violation.describe()}")
+
+
 class SquareFileError(MolsNetError):
     """Square file cannot be parsed; line is 1-based, column counts tokens."""
 

@@ -6,12 +6,14 @@ in 1..order.  Serialization writes plain decimals and ends with a newline;
 parsing accepts any spelling int() does (05, +3, other digit scripts) and
 tolerates extra blank lines at the end of the file.  Error positions use
 1-based lines, and columns count whitespace-separated tokens, not characters.
+Whether blocks are Latin is checked once, by MolsSet, after the whole text
+is read, so a syntax fault anywhere is reported before a non-Latin block.
 """
 
 from __future__ import annotations
 
-from .errors import SquareFileError
-from .squares import EXTERNAL, LatinSquare, MolsSet, validate_latin
+from .errors import NotLatinError, SquareFileError
+from .squares import EXTERNAL, LatinSquare, MolsSet
 
 
 def serialize_square_file(mols: MolsSet) -> str:
@@ -46,8 +48,10 @@ def parse_square_file(text: str) -> MolsSet:
     """Parse the text format into a set with family kind "external".
 
     Raises SquareFileError for malformed headers, short or oversized
-    blocks, non-integer or out-of-range symbols, and blocks that are not
-    Latin squares (reported with their block number).
+    blocks, non-integer or out-of-range symbols and trailing content, then
+    for the first block p that MolsSet finds not Latin: at the line of the
+    row at fault, or at the block's first line, 2 + (p-1)(order+1), as
+    exactly one blank line separates blocks.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -73,7 +77,6 @@ def parse_square_file(text: str) -> MolsSet:
                 raise SquareFileError(f"expected a blank line before block {block}",
                                       line=cursor + 1)
             cursor += 1
-        block_start = cursor + 1
         rows = []
         for _ in range(order):
             if cursor >= len(lines):
@@ -96,16 +99,15 @@ def parse_square_file(text: str) -> MolsSet:
             except KeyError:
                 rows.append(_convert_row(tokens, order, line_no))
             cursor += 1
-        square = LatinSquare(order, tuple(rows), EXTERNAL)
-        report = validate_latin(square)
-        if not report.ok:
-            first = report.violations[0]
-            line = block_start + first.index - 1 if first.axis == "row" else block_start
-            raise SquareFileError(f"block {block} is not a Latin square: {first.describe()}",
-                                  line=line)
-        squares.append(square)
+        squares.append(LatinSquare(order, tuple(rows), EXTERNAL))
     while cursor < len(lines):
         if lines[cursor].strip():
             raise SquareFileError("unexpected content after the final block", line=cursor + 1)
         cursor += 1
-    return MolsSet(order, tuple(squares), EXTERNAL)
+    try:
+        return MolsSet(order, tuple(squares), EXTERNAL)
+    except NotLatinError as exc:
+        p, first = exc.position, exc.violation
+        row = first.index - 1 if first.axis == "row" else 0
+        raise SquareFileError(f"block {p} is not a Latin square: {first.describe()}",
+                              line=2 + (p - 1) * (order + 1) + row) from None

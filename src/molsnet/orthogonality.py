@@ -7,7 +7,7 @@ the stack is t-orthogonal when all n^2 tuples are pairwise distinct.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, mul, ne
 from typing import Iterable, Sequence
 
@@ -24,18 +24,14 @@ class TupleArray:
 
     Stored as one row-major flat column of n^2 symbols per square, so
     columns[p][k] is coordinate p of the tuple in cell k // n + 1, k % n + 1.
-    The grid is derived on demand.  source records which 1-based positions
-    of an owning set the squares came from; it is bookkeeping only and
-    ignored by equality.
+    The grid is derived on demand.
     """
 
     order: int
     arity: int
     columns: tuple[Column, ...]
-    source: tuple[int, ...] = field(default=(), compare=False)
 
-    def __init__(self, order: int, arity: int, grid: Sequence[Sequence[SymbolTuple]],
-                 source: tuple[int, ...] = ()):
+    def __init__(self, order: int, arity: int, grid: Sequence[Sequence[SymbolTuple]]):
         n, t = order, arity
         if t < 2:
             raise ValueError(f"arity must be at least 2, got {t}")
@@ -45,22 +41,19 @@ class TupleArray:
         if entries and set(map(len, entries)) != {t}:
             _raise_first_bad_entry(n, t, entries)
         columns = tuple(zip(*entries)) if entries else ((),) * t
-        self._set(n, t, columns, source)
+        self._set(n, t, columns)
 
     @classmethod
-    def _of_columns(cls, order: int, columns: tuple[Column, ...],
-                    source: tuple[int, ...]) -> TupleArray:
+    def _of_columns(cls, order: int, columns: tuple[Column, ...]) -> TupleArray:
         array = cls.__new__(cls)
-        array._set(order, len(columns), columns, source)
+        array._set(order, len(columns), columns)
         return array
 
-    def _set(self, order: int, arity: int, columns: tuple[Column, ...],
-             source: tuple[int, ...]) -> None:
+    def _set(self, order: int, arity: int, columns: tuple[Column, ...]) -> None:
         """The one symbol check of both constructors; fields are set only if it passes."""
         if any(min(column) < 1 or max(column) > order for column in columns if column):
             _raise_first_bad_entry(order, arity, list(zip(*columns)))
-        for name, value in (("order", order), ("arity", arity), ("columns", columns),
-                            ("source", source)):
+        for name, value in (("order", order), ("arity", arity), ("columns", columns)):
             object.__setattr__(self, name, value)
 
     @property
@@ -107,14 +100,12 @@ def _flat_symbols(square: LatinSquare) -> Column:
     return tuple(itertools.chain.from_iterable(square.cells))
 
 
-def superimpose(squares: Iterable[LatinSquare],
-                source: Sequence[int] | None = None) -> TupleArray:
+def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
     squares is read once, in order, and each square is let go once its
     column is built, so squares that only the iterable holds, such as those
-    a generator hands over, are freed during the stacking.  source defaults
-    to positions 1..t.
+    a generator hands over, are freed during the stacking.
     """
     orders, columns = set(), []
     for square in squares:
@@ -124,10 +115,7 @@ def superimpose(squares: Iterable[LatinSquare],
         raise ValueError(f"need at least 2 squares to superimpose, got {len(columns)}")
     if len(orders) != 1:
         raise ValueError(f"cannot superimpose squares of mixed orders {sorted(orders)}")
-    src = tuple(source) if source is not None else tuple(range(1, len(columns) + 1))
-    if len(src) != len(columns):
-        raise ValueError("source must name one position per square")
-    return TupleArray._of_columns(orders.pop(), tuple(columns), src)
+    return TupleArray._of_columns(orders.pop(), tuple(columns))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConstructionError
+from .errors import ConstructionError, NotLatinError
 
 Row = tuple[int, ...]
 Grid = tuple[Row, ...]
@@ -96,9 +96,10 @@ def validate_latin(square: LatinSquare) -> ValidationReport:
 class MolsSet:
     """Latin squares of one order, kept in construction order.
 
-    Members must pass validate_latin.  Duplicate members are allowed so a
-    defective set can still be loaded and verified; the generated families
-    are pairwise distinct.  family_kind is ignored by equality.
+    Members must pass validate_latin, run only here (NotLatinError).
+    Duplicates are allowed so a defective set can still be loaded and
+    verified; generated families are pairwise distinct.  family_kind is
+    ignored by equality.
     """
 
     order: int
@@ -114,8 +115,7 @@ class MolsSet:
                     f"square {position} has order {square.order}, expected {self.order}")
             report = validate_latin(square)
             if not report.ok:
-                first = report.violations[0]
-                raise ValueError(f"square {position} is not Latin: {first.describe()}")
+                raise NotLatinError(position, report.violations[0])
 
     def __len__(self) -> int:
         return len(self.squares)

@@ -24,7 +24,7 @@ def per_subset_verdicts(mols, t):
     """The verdict of every t-subset, in index order."""
     verdicts = []
     for combo in itertools.combinations(range(1, len(mols.squares) + 1), t):
-        array = superimpose([mols.squares[i - 1] for i in combo], combo)
+        array = superimpose([mols.squares[i - 1] for i in combo])
         verdicts.append(SubsetVerdict(combo, is_t_orthogonal(array)))
     return tuple(verdicts)
 

@@ -54,8 +54,7 @@ def test_criterion_04_families_verify_with_oracle_agreement(family4, family5):
     def verified(family, t):
         report = verify_set_orthogonality(family, t)
         for verdict in report.verdicts:
-            array = superimpose([family.squares[i - 1] for i in verdict.indices],
-                                verdict.indices)
+            array = superimpose([family.squares[i - 1] for i in verdict.indices])
             assert brute_force_distinctness(array) == verdict.report.is_orthogonal
         return report.all_orthogonal
 

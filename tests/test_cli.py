@@ -283,7 +283,6 @@ class TestChainGraphStacking:
         monkeypatch.undo()
         family = make_mols_family(5)
         assert graph.array == superimpose([family[3], family[1]])
-        assert graph.array.source == (4, 2)
 
 
 class TestCheck:

@@ -1,10 +1,13 @@
+import sys
 import tracemalloc
 
 import pytest
 
+import molsnet.squares
 from golden import ORDER4_SQUARE_FILE
 from molsnet import (SquareFileError, make_mols_family, parse_square_file,
                      serialize_square_file)
+from molsnet.cli import main
 
 
 class TestSerialize:
@@ -112,8 +115,54 @@ class TestParseErrors:
         self.assert_fails(text, "block 2 is not a Latin square")
         self.assert_fails(text, "row 1 duplicates symbol 1", line=5)
 
+    def test_column_violation_in_block_3_names_its_first_line(self):
+        text = "3 3\n1 2 3\n2 3 1\n3 1 2\n\n2 3 1\n3 1 2\n1 2 3\n \t \n1 2 3\n2 3 1\n1 2 3\n"
+        with pytest.raises(SquareFileError) as excinfo:
+            parse_square_file(text)
+        assert str(excinfo.value) == ("line 10: block 3 is not a Latin square: "
+                                      "column 1 duplicates symbol 1")
+
     def test_trailing_garbage(self):
         self.assert_fails("2 1\n1 2\n2 1\nleftover\n", "unexpected content", line=4)
+
+    def test_syntax_faults_come_before_a_non_latin_block(self):
+        # Every block is read before MolsSet checks that the blocks are Latin.
+        self.assert_fails("2 2\n1 2\n1 2\n\n1 x\n2 1\n", "'x' is not an integer",
+                          line=5, column=2)
+        self.assert_fails("2 1\n1 2\n1 2\nleftover\n", "unexpected content", line=4)
+
+
+@pytest.fixture()
+def validated(monkeypatch):
+    """Every square validate_latin is called on, wherever a molsnet module holds it."""
+    original = molsnet.squares.validate_latin
+    seen = []
+
+    def spy(square):
+        seen.append(square)
+        return original(square)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "molsnet" and vars(module).get("validate_latin") is original:
+            monkeypatch.setattr(module, "validate_latin", spy)
+    return seen
+
+
+class TestEachSquareIsValidatedOnce:
+    def test_parse_of_a_multi_block_file(self, validated, family5):
+        parsed = parse_square_file(serialize_square_file(family5))
+        assert list(map(id, validated)) == list(map(id, parsed.squares))
+
+    def test_make_mols_family(self, validated):
+        family = make_mols_family(7)
+        assert list(map(id, validated)) == list(map(id, family.squares))
+
+    def test_graph_command(self, validated, family5, tmp_path, capsys):
+        path = tmp_path / "f5.txt"
+        path.write_text(serialize_square_file(family5))
+        assert main(["graph", "--t", "2", "--in", str(path)]) == 0
+        assert validated == list(family5.squares)
+        assert len(set(map(id, validated))) == len(validated)
 
 
 class TestRoundTripAllConstructibleOrders:

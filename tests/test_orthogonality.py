@@ -29,10 +29,6 @@ class TestSuperimpose:
         array = superimpose(list(family5.squares))
         assert array.grid == ORDER5_QUAD_ARRAY
 
-    def test_source_defaults_to_positions(self, family5):
-        assert superimpose(list(family5.squares[:2])).source == (1, 2)
-        assert superimpose(list(family5.squares[:2]), (3, 4)).source == (3, 4)
-
     def test_needs_at_least_two_squares(self, family5):
         with pytest.raises(ValueError):
             superimpose([family5[0]])
@@ -68,12 +64,11 @@ class TestSuperimpose:
                 yield square
 
         monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
-        array = superimpose(handed_over(), (2, 3, 4, 5, 6, 7))
+        array = superimpose(handed_over())
         assert alive == [[j >= k for j in range(6)] for k in range(6)]
         assert squares == [None] * 6
         monkeypatch.undo()
         assert array == superimpose(list(make_mols_family(7).squares))
-        assert array.source == (2, 3, 4, 5, 6, 7)
 
     def test_without_consume_the_list_is_left_as_given(self, family5):
         squares = list(family5.squares)

@@ -21,8 +21,9 @@ square and a shuffled square order, optionally with one square duplicated.
 - Bipartiteness certificates replay edge by edge on chain graphs, on
   orthogonal arrays that are not Latin, and on complete multipartite graphs.
 - Latin validation agrees with a per-symbol count of every lane on
-  corrupted grids, and the square-file parser raises nothing but
-  SquareFileError on mutated or arbitrary text.
+  corrupted grids, also when the grid is block 1-3 of a square file, and
+  the square-file parser raises nothing but SquareFileError on mutated or
+  arbitrary text.
 """
 
 import contextlib
@@ -275,23 +276,25 @@ def corrupted_squares(draw):
     return LatinSquare(n, tuple(tuple(row) for row in cells))
 
 
-def expected_parse_error(square, report):
-    """The SquareFileError of the one-block file of the square, or None."""
+def expected_parse_error(square, report, k):
+    """The SquareFileError of a file whose block k is the square and whose
+    k - 1 blocks before it are valid, or None."""
     n = square.order
-    for line, row in enumerate(square.cells, start=2):
+    start = 2 + (k - 1) * (n + 1)
+    for line, row in enumerate(square.cells, start=start):
         for column, symbol in enumerate(row, start=1):
             if not 1 <= symbol <= n:
                 return SquareFileError(f"symbol {symbol} out of range 1..{n}", line, column)
     if report.ok:
         return None
     first = report.violations[0]
-    line = 1 + first.index if first.axis == "row" else 2
-    return SquareFileError(f"block 1 is not a Latin square: {first.describe()}", line)
+    line = start + first.index - 1 if first.axis == "row" else start
+    return SquareFileError(f"block {k} is not a Latin square: {first.describe()}", line)
 
 
 @settings(derandomize=True, max_examples=250, deadline=None)
-@given(corrupted_squares())
-def test_latin_validation_matches_the_per_symbol_count(square):
+@given(corrupted_squares(), st.integers(1, 3))
+def test_latin_validation_matches_the_per_symbol_count(square, k):
     report = count_latin_violations(square)
     assert validate_latin(square) == report
     if not report.ok:
@@ -299,10 +302,14 @@ def test_latin_validation_matches_the_per_symbol_count(square):
             MolsSet(square.order, (square,))
         assert str(excinfo.value) == f"square 1 is not Latin: {report.violations[0].describe()}"
 
-    text = f"{square.order} 1\n" + "".join(" ".join(map(str, row)) + "\n" for row in square.cells)
-    expected = expected_parse_error(square, report)
+    n = square.order
+    cyclic = LatinSquare(n, tuple(tuple((r + c) % n + 1 for c in range(n)) for r in range(n)))
+    blocks = [cyclic] * (k - 1) + [square]
+    text = f"{n} {k}\n" + "\n".join(
+        "".join(" ".join(map(str, row)) + "\n" for row in block.cells) for block in blocks)
+    expected = expected_parse_error(square, report, k)
     if expected is None:
-        assert parse_square_file(text).squares == (square,)
+        assert parse_square_file(text).squares == tuple(blocks)
         return
     with pytest.raises(SquareFileError) as excinfo:
         parse_square_file(text)
