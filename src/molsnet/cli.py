@@ -12,6 +12,7 @@ import os
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 from .errors import MolsNetError
@@ -22,8 +23,15 @@ from .graphs import (PartiteGraph, build_partite_graph, channels_through, edge_m
                      turan_edge_count, vertex_name)
 from .oracle import (brute_force_distinctness, brute_force_multiplicity, count_edges_brute,
                      enumerate_set_orthogonality, exhaustive_mols_search)
-from .orthogonality import is_t_orthogonal, superimpose, verify_set_orthogonality
+from .orthogonality import (is_t_orthogonal, subset_rank, superimpose,
+                            verify_set_orthogonality)
 from .squares import LatinSquare, MolsSet, is_prime, make_additive_square, make_mols_family
+
+
+# verify prints one line per subset when there are at most this many
+# subsets; above it, only the failing ones, at most this many, and a line
+# counting the subsets it left out.
+VERIFY_LISTED_SUBSETS = 10_000
 
 
 class UsageError(Exception):
@@ -106,23 +114,36 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     mols = _load_set(args.infile)
     report = verify_set_orthogonality(mols, args.t)
-    total = len(report.verdicts)
-    print(f"order {report.order}, {len(mols.squares)} squares, t={report.t}: "
-          f"checking {total} subset{'s' if total != 1 else ''}")
-    for verdict in report.verdicts:
-        indices = ",".join(str(i) for i in verdict.indices)
+    n, m, t = report.order, report.size, report.t
+    total, failures = report.subset_count, report.failures
+    names = [str(i) for i in range(m + 1)]
+    orthogonal_line = f"squares ({{}}): orthogonal ({n * n} distinct tuples)".format
+    failing_line = (f"squares ({{}}): NOT orthogonal ({{}} of {n * n} distinct; "
+                    "cells {} and {} share a tuple)").format
+
+    def failure_line(verdict) -> str:
         r = verdict.report
-        if r.is_orthogonal:
-            print(f"squares ({indices}): orthogonal ({r.distinct_count} distinct tuples)")
-        else:
-            a, b = r.first_collision
-            print(f"squares ({indices}): NOT orthogonal ({r.distinct_count} of "
-                  f"{mols.order ** 2} distinct; cells {_cell(a)} and {_cell(b)} share a tuple)")
+        a, b = r.first_collision
+        return failing_line(",".join(map(names.__getitem__, verdict.indices)),
+                            r.distinct_count, _cell(a), _cell(b))
+
+    lines = [f"order {n}, {m} squares, t={t}: checking {total} subset{'s' if total != 1 else ''}"]
+    if total <= VERIFY_LISTED_SUBSETS:
+        lines += map(orthogonal_line, map(",".join, combinations(names[1:], t)))
+        for verdict in failures:
+            lines[1 + subset_rank(verdict.indices, m)] = failure_line(verdict)
+    else:
+        lines += map(failure_line, failures[:VERIFY_LISTED_SUBSETS])
+        left_out = max(len(failures) - VERIFY_LISTED_SUBSETS, 0)
+        lines.append(f"left out: {total - len(failures)} orthogonal and {left_out} failing "
+                     f"subsets (more than {VERIFY_LISTED_SUBSETS} subsets: only failures are "
+                     f"listed, the first {VERIFY_LISTED_SUBSETS} at most)")
     if report.all_orthogonal:
-        print(f"result: all {total} subsets are {report.t}-orthogonal")
-        return 0
-    print(f"result: {len(report.failures)} of {total} subsets fail {report.t}-orthogonality")
-    return 1
+        lines.append(f"result: all {total} subsets are {t}-orthogonal")
+    else:
+        lines.append(f"result: {len(failures)} of {total} subsets fail {t}-orthogonality")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0 if report.all_orthogonal else 1
 
 
 def _parse_selection(args, squares: list[LatinSquare]) -> list[int]:
@@ -165,9 +186,10 @@ def cmd_stats(args) -> int:
     print(f"simple: {'yes' if stats.simple else 'no'}")
     print(f"max edge multiplicity: {mult.max_multiplicity}")
     if mult.duplicated_edges:
+        labels = graph.part_labels
         print("parallel edges:")
-        for (u, v), count in mult.duplicated_edges:
-            print(f"  {vertex_name(u)} -> {vertex_name(v)} (x{count})")
+        print("\n".join(f"  {labels[p]}{s} -> {labels[q]}{r} (x{count})"
+                        for ((p, s), (q, r)), count in mult.duplicated_edges))
     print(f"bipartite: {'yes' if bip.bipartite else 'no'}")
     n, t = graph.array.order, args.t
     if is_prime(n + 1) and 3 <= t <= n:

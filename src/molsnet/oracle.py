@@ -42,14 +42,16 @@ def enumerate_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport
     For each subset, a row-major double loop compares the tuples of every
     cell pair a < b element by element.  The first equal pair it meets is
     the collision certificate, and the distinct count is the number of
-    cells with no earlier equal cell.
+    cells with no earlier equal cell.  A subset with no equal pair has
+    all n^2 cells distinct, the verdict the report derives for every
+    subset it does not list as failing.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     cells = [(i, j) for i in range(n) for j in range(n)]
-    verdicts = []
+    failures = []
     for combo in itertools.combinations(range(size), t):
         picked = [mols.squares[k].cells for k in combo]
         repeated = [False] * len(cells)
@@ -67,10 +69,10 @@ def enumerate_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport
                     repeated[b] = True
                     if first is None:
                         first = ((ia + 1, ja + 1), (ib + 1, jb + 1))
-        distinct = repeated.count(False)
-        report = OrthogonalityReport(first is None, distinct, first)
-        verdicts.append(SubsetVerdict(tuple(k + 1 for k in combo), report))
-    return SetOrthogonalityReport(n, t, tuple(verdicts))
+        if first is not None:
+            report = OrthogonalityReport(False, repeated.count(False), first)
+            failures.append(SubsetVerdict(tuple(k + 1 for k in combo), report))
+    return SetOrthogonalityReport(n, t, size, tuple(failures))
 
 
 def count_edges_brute(graph: PartiteGraph) -> int:

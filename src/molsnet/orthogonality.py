@@ -7,9 +7,13 @@ the stack is t-orthogonal when all n^2 tuples are pairwise distinct.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import add, mul, ne
-from typing import Iterable, Sequence
+from math import comb
+from operator import add, attrgetter, gt, itemgetter, mul, ne
+from typing import Iterable, Iterator, Sequence
 
 from .squares import LatinSquare, MolsSet
 
@@ -96,8 +100,16 @@ def stacked_keys(keys: Sequence[int], column: Column, n: int) -> list[int]:
 
 
 def _flat_symbols(square: LatinSquare) -> Column:
-    """A square's symbols in row-major order: its column of a stack."""
-    return tuple(itertools.chain.from_iterable(square.cells))
+    """A square's symbols in row-major order: its column of a stack.
+
+    The rows are copied into a list of the final length, so the column is
+    not grown by reallocation.
+    """
+    n = square.order
+    flat = [0] * (n * n)
+    for start, row in zip(range(0, n * n, n), square.cells):
+        flat[start:start + n] = row
+    return tuple(flat)
 
 
 def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
@@ -139,21 +151,26 @@ def is_t_orthogonal(array: TupleArray) -> OrthogonalityReport:
         keys = stacked_keys(keys, column, n)
         if len(set(keys)) == n * n:
             return OrthogonalityReport(True, n * n, None)
-    return _collision_report(keys, n)
+    return _collision_report(keys, n, range(n * n))
 
 
-def _collision_report(keys: Sequence[int], n: int) -> OrthogonalityReport:
-    """The report of a stack whose n^2 per-cell keys are not all distinct.
+def _collision_report(keys: Sequence[int], n: int,
+                      positions: Sequence[int]) -> OrthogonalityReport:
+    """The report of a stack whose per-cell keys are not all distinct.
 
-    firsts[k] is the first position holding the key of position k.  The
-    smallest position some later position points back to is the first cell
-    of the certificate, and the next position pointing to it is the second.
+    keys[k] is the key of row-major position positions[k], in increasing
+    position order; every cell left out of positions holds a key no other
+    cell holds.  firsts[k] is the first index holding the key of index k.
+    The smallest index some later index points back to is the first cell
+    of the certificate, and the next index pointing to it is the second.
     """
     seen: dict[int, int] = {}
-    firsts = list(map(seen.setdefault, keys, range(n * n)))
-    a = min(itertools.compress(firsts, map(ne, firsts, range(n * n))))
+    m = len(keys)
+    firsts = list(map(seen.setdefault, keys, range(m)))
+    a = min(itertools.compress(firsts, map(ne, firsts, range(m))))
     b = firsts.index(a, a + 1)
-    return OrthogonalityReport(False, len(seen), (cell_of(a, n), cell_of(b, n)))
+    return OrthogonalityReport(False, n * n - m + len(seen),
+                               (cell_of(positions[a], n), cell_of(positions[b], n)))
 
 
 def distinct_tuple_count(array: TupleArray) -> int:
@@ -169,55 +186,141 @@ class SubsetVerdict:
 
 @dataclass(frozen=True)
 class SetOrthogonalityReport:
+    """The verdicts on every t-subset of a set of `size` order-n squares.
+
+    Only the failing verdicts are stored, in index order.  Every other
+    subset is orthogonal with all n^2 tuples distinct, so `verdicts`
+    derives the full sequence, and two reports are equal exactly when all
+    their verdicts are.
+    """
+
     order: int
     t: int
-    verdicts: tuple[SubsetVerdict, ...]
+    size: int
+    failures: tuple[SubsetVerdict, ...]
+
+    @property
+    def subset_count(self) -> int:
+        return comb(self.size, self.t)
 
     @property
     def all_orthogonal(self) -> bool:
-        return all(v.report.is_orthogonal for v in self.verdicts)
+        return not self.failures
 
     @property
-    def failures(self) -> tuple[SubsetVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.report.is_orthogonal)
+    def verdicts(self) -> SubsetVerdicts:
+        return SubsetVerdicts(self)
+
+
+class SubsetVerdicts(SequenceABC):
+    """Every verdict of a report, in index order, made on demand.
+
+    len() is C(size, t) without enumerating; it raises OverflowError past
+    sys.maxsize, where `subset_count` still works.  Compare reports, or
+    tuple(verdicts), rather than this view.
+    """
+
+    def __init__(self, report: SetOrthogonalityReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.subset_count
+
+    def __iter__(self) -> Iterator[SubsetVerdict]:
+        r = self._report
+        orthogonal = OrthogonalityReport(True, r.order ** 2, None)
+        failed = {v.indices: v for v in r.failures}.get
+        for indices in itertools.combinations(range(1, r.size + 1), r.t):
+            yield failed(indices) or SubsetVerdict(indices, orthogonal)
+
+    def __getitem__(self, index):
+        r = self._report
+        count = r.subset_count
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(count)[index]))
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("verdict index out of range")
+        indices = _nth_subset(index, r.size, r.t)
+        at = bisect_left(r.failures, indices, key=attrgetter("indices"))
+        if at < len(r.failures) and r.failures[at].indices == indices:
+            return r.failures[at]
+        return SubsetVerdict(indices, OrthogonalityReport(True, r.order ** 2, None))
+
+
+def _nth_subset(index: int, size: int, t: int) -> tuple[int, ...]:
+    """The t-subset of 1..size at position index in lexicographic order."""
+    indices, x = [], 1
+    for left in range(t, 0, -1):
+        while index >= (starting_at_x := comb(size - x, left - 1)):
+            index -= starting_at_x
+            x += 1
+        indices.append(x)
+        x += 1
+    return tuple(indices)
+
+
+def subset_rank(indices: Sequence[int], size: int) -> int:
+    """Position of a sorted 1-based t-subset of 1..size in lexicographic order."""
+    t = len(indices)
+    return comb(size, t) - 1 - sum(comb(size - c, t - i) for i, c in enumerate(indices))
+
+
+def _scaled(keys: Iterable[int], n: int) -> list[int]:
+    """Per-cell keys times (n+1): one key pass, made once per tree node."""
+    return list(map(mul, keys, itertools.repeat(n + 1)))
+
+
+def _appended(scaled: Sequence[int], column: Sequence[int]) -> list[int]:
+    """A child's keys from its parent's scaled keys: one key pass per child."""
+    return list(map(add, scaled, column))
 
 
 def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
-    """Check every t-subset of the set; verdicts come in index order.
+    """Check every t-subset of the set; return the failures in index order.
 
     The subsets are the leaves of the lexicographic prefix tree of index
     combinations, walked depth first.  A node holds the stacked_keys of its
-    prefix, one per cell, built from its parent's keys and one more column.
+    prefix, scaled by n+1 once, so each child adds its column in one pass.
     Cells that differ on a prefix differ on every extension of it, so a
-    node whose n^2 keys are distinct settles all its completions as
-    orthogonal without more work.  A failing leaf reads its certificate
-    off its keys, as is_t_orthogonal does.
+    node whose keys are distinct settles all its completions as orthogonal
+    without more work, and a failing node below depth 1 keeps only its
+    cells whose key repeats: its children read just those cells of their
+    column.  A depth-1 node is a Latin column, so it is not tested: for
+    n >= 2 no key of it is unique, and for n = 1 every child settles.  A
+    failing leaf reads its certificate off its keys, as is_t_orthogonal does.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     flat = [_flat_symbols(square) for square in mols.squares]
-    orthogonal = OrthogonalityReport(True, n * n, None)
-    verdicts: list[SubsetVerdict] = []
-    # Explicit stack of [prefix, keys, next square to add], so depth is not
-    # bounded by the recursion limit.
-    stack = [[(), (), 1]]
-    while stack:
-        frame = stack[-1]
-        prefix, keys, k = frame
-        if k > size - t + len(prefix) + 1:
-            stack.pop()
-            continue
-        frame[2] = k + 1
-        child = prefix + (k,)
-        child_keys = stacked_keys(keys, flat[k - 1], n) if prefix else flat[k - 1]
-        if len(set(child_keys)) == n * n:
-            verdicts.extend(
-                SubsetVerdict(child + rest, orthogonal)
-                for rest in itertools.combinations(range(k + 1, size + 1), t - len(child)))
-        elif len(child) == t:
-            verdicts.append(SubsetVerdict(child, _collision_report(child_keys, n)))
-        else:
-            stack.append([child, child_keys, k + 1])
-    return SetOrthogonalityReport(n, t, tuple(verdicts))
+    failures: list[SubsetVerdict] = []
+    for first in range(1, size - t + 2):
+        # Explicit stack of [prefix, scaled keys of the prefix's kept cells,
+        # their row-major positions, the reader of those cells from a column
+        # (None: every cell), next square to add], so depth is not bounded
+        # by the recursion limit.
+        stack = [[(first,), _scaled(flat[first - 1], n), range(n * n), None, first + 1]]
+        while stack:
+            frame = stack[-1]
+            prefix, scaled, positions, read, k = frame
+            if k > size - t + len(prefix) + 1:
+                stack.pop()
+                continue
+            frame[4] = k + 1
+            column = flat[k - 1]
+            keys = _appended(scaled, column if read is None else read(column))
+            if len(set(keys)) == len(keys):
+                continue
+            child = prefix + (k,)
+            if len(child) == t:
+                failures.append(SubsetVerdict(child, _collision_report(keys, n, positions)))
+                continue
+            counts = Counter(keys)
+            repeated = list(map(gt, map(counts.__getitem__, keys), itertools.repeat(1)))
+            kept = list(itertools.compress(positions, repeated))
+            stack.append([child, _scaled(itertools.compress(keys, repeated), n), kept,
+                          itemgetter(*kept), k + 1])
+    return SetOrthogonalityReport(n, t, size, tuple(failures))

@@ -1,5 +1,7 @@
 import os
 import weakref
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -7,7 +9,8 @@ import molsnet.cli
 import molsnet.orthogonality
 
 from golden import ORDER4_SQUARE_FILE
-from molsnet import make_mols_family, parse_square_file, serialize_square_file, superimpose
+from molsnet import (MolsSet, make_mols_family, parse_square_file, serialize_square_file,
+                     superimpose)
 from molsnet.cli import main
 
 
@@ -143,6 +146,67 @@ class TestVerify:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", "--t", "2", "--in", str(tmp_path / "nope.txt")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _left_out(orthogonal, failing, cap):
+    return (f"left out: {orthogonal} orthogonal and {failing} failing subsets (more than "
+            f"{cap} subsets: only failures are listed, the first {cap} at most)")
+
+
+class TestVerifyOutputBound:
+    """Up to VERIFY_LISTED_SUBSETS subsets verify prints one line each; above
+    it, the failing lines up to the same cap and one line counting the rest."""
+
+    def _out(self, capsys, path, t, status):
+        assert main(["verify", "--t", str(t), "--in", path]) == status
+        return capsys.readouterr().out.splitlines()
+
+    def test_cap_boundary_on_failing_subsets(self, f4_file, monkeypatch, capsys):
+        full = self._out(capsys, f4_file, 2, 1)
+        assert len(full) == 8                       # header, 6 subsets, result
+        monkeypatch.setattr(molsnet.cli, "VERIFY_LISTED_SUBSETS", 6)
+        assert self._out(capsys, f4_file, 2, 1) == full
+        monkeypatch.setattr(molsnet.cli, "VERIFY_LISTED_SUBSETS", 5)
+        assert self._out(capsys, f4_file, 2, 1) == full[:6] + [_left_out(0, 1, 5), full[-1]]
+
+    def test_above_the_cap_orthogonal_lines_are_left_out(self, tmp_path, monkeypatch, capsys):
+        first, second = make_mols_family(5).squares[:2]
+        path = tmp_path / "repeated.txt"
+        path.write_text(serialize_square_file(MolsSet(5, (first, second, first))))
+        full = self._out(capsys, str(path), 2, 1)
+        monkeypatch.setattr(molsnet.cli, "VERIFY_LISTED_SUBSETS", 2)
+        assert self._out(capsys, str(path), 2, 1) == [
+            full[0], full[2], _left_out(2, 0, 2), full[-1]]
+
+    def test_listed_failures_are_the_first_of_the_full_listing(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # 20 copies of one square: all 15,504 5-subsets fail.
+        path = tmp_path / "copies.txt"
+        path.write_text(serialize_square_file(MolsSet(5, (make_mols_family(5)[0],) * 20)))
+        bounded = self._out(capsys, str(path), 5, 1)
+        monkeypatch.setattr(molsnet.cli, "VERIFY_LISTED_SUBSETS", 20_000)
+        full = self._out(capsys, str(path), 5, 1)
+        assert len(full) == 15_506
+        assert bounded == full[:10_001] + [_left_out(0, 5_504, 10_000), full[-1]]
+
+    def test_t50_on_order_101_takes_pair_work_and_bounded_output(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # C(100, 50), about 1e29 subsets: every pair of the additive family
+        # is orthogonal, so no node below depth 2 is built.
+        path = tmp_path / "additive101.txt"
+        path.write_text(serialize_square_file(make_mols_family(101)))
+        passes = Counter()
+        for name in ("_scaled", "_appended"):
+            def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
+                passes[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(molsnet.orthogonality, name, spy)
+        total = comb(100, 50)
+        assert self._out(capsys, str(path), 50, 0) == [
+            f"order 101, 100 squares, t=50: checking {total} subsets",
+            _left_out(total, 0, 10_000),
+            f"result: all {total} subsets are 50-orthogonal"]
+        assert 0 < sum(passes.values()) <= comb(100, 2) + 100
 
 
 class TestGraph:

@@ -8,8 +8,9 @@ the repository root:
 
     PYTHONPATH=src python3 tests/test_goldens.py
 
-The exports of two large graphs, tens of MB each, are pinned by their
-sha256 digests in LARGE_DIGESTS instead of files.
+The exports of two large graphs, tens of MB each, and the 1 MB `verify`
+text of a set whose failures pass the listing cap are pinned by their
+sha256 digests in LARGE_DIGESTS and LARGE_VERIFY_DIGESTS instead of files.
 """
 
 import contextlib
@@ -71,6 +72,12 @@ def _repeated_order5():
     return MolsSet(5, (first, second, first))
 
 
+def _copies_order5():
+    # 20 copies of one square: every one of the C(20, 5) = 15,504 5-subsets
+    # fails, more than the 10,000 failures verify lists.
+    return MolsSet(5, (make_mols_family(5).squares[0],) * 20)
+
+
 # golden file -> (square set, t, exit status of `verify`)
 VERIFY = {
     "verify_additive5_t2.txt": (lambda: make_mols_family(5), 2, 0),
@@ -81,6 +88,16 @@ VERIFY = {
     "verify_shift6_t2.txt": (lambda: make_mols_family(6), 2, 1),
     "verify_repeated5_t2.txt": (_repeated_order5, 2, 1),
     "verify_repeated5_t3.txt": (_repeated_order5, 3, 0),
+    # 142,506 orthogonal subsets, more than verify lists line by line.
+    "verify_additive31_t5.txt": (lambda: make_mols_family(31), 5, 0),
+}
+
+LARGE_VERIFY = {
+    "verify_copies5x20_t5.txt": (_copies_order5, 5, 1),
+}
+
+LARGE_VERIFY_DIGESTS = {
+    "verify_copies5x20_t5.txt": "6cad5881ba34c4b915fc4afaa4bc7e7ea31a6ce181462a6a676e87476c8881b2",
 }
 
 DEMO_GOLDENS = {f"demo_{path.stem}.txt": path for path in sorted(DEMOS.glob("*.py"))}
@@ -147,6 +164,13 @@ def test_large_export_matches_digest(large_graphs, filename):
     name, fmt = filename.split(".")
     content = export_graph(large_graphs[name], fmt).content
     assert hashlib.sha256(content.encode()).hexdigest() == LARGE_DIGESTS[filename]
+
+
+@pytest.mark.parametrize("filename", sorted(LARGE_VERIFY_DIGESTS))
+def test_large_verify_matches_digest(filename):
+    mols, t, status = LARGE_VERIFY[filename]
+    content = _on_file(mols(), "verify", t, status)
+    assert hashlib.sha256(content.encode()).hexdigest() == LARGE_VERIFY_DIGESTS[filename]
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, distinct_tuple_count,
                      enumerate_set_orthogonality, is_prime, is_t_orthogonal, make_additive_square,
                      make_mols_family, make_multiplicative_square, superimpose,
                      verify_set_orthogonality)
+from molsnet.orthogonality import OrthogonalityReport, subset_rank
 from reference import per_subset_verdicts
 
 # Every (order, method) up to order 13 whose family has at least two squares.
@@ -213,14 +214,14 @@ class TestVerifySetOrthogonality:
         mols = MolsSet(5, (family5[0],) * 26 + (family5[1],))
         report = verify_set_orthogonality(mols, 26)
         assert report == enumerate_set_orthogonality(mols, 26)
-        assert report.verdicts == per_subset_verdicts(mols, 26)
+        assert tuple(report.verdicts) == per_subset_verdicts(mols, 26)
         assert [v.indices for v in report.failures] == [tuple(range(1, 27))]
         assert len(report.verdicts) == 27
 
     def test_order_1_subsets_are_orthogonal(self):
         one = MolsSet(1, (LatinSquare(1, ((1,),)),) * 3)
         report = verify_set_orthogonality(one, 2)
-        assert report.verdicts == per_subset_verdicts(one, 2)
+        assert tuple(report.verdicts) == per_subset_verdicts(one, 2)
         assert report.all_orthogonal
 
     @pytest.mark.parametrize("n,method", [case for case in FAMILIES if case[0] <= 7])
@@ -234,7 +235,55 @@ class TestVerifySetOrthogonality:
         family = make_mols_family(n, method)
         for t in range(2, len(family) + 1):
             if comb(len(family), t) <= 2000:
-                assert verify_set_orthogonality(family, t).verdicts == per_subset_verdicts(family, t)
+                assert tuple(verify_set_orthogonality(family, t).verdicts) == \
+                    per_subset_verdicts(family, t)
+
+
+class TestSetOrthogonalityReport:
+    """A report stores its failures; every other verdict is derived."""
+
+    def test_only_the_failures_are_stored(self, family4, family5):
+        first, second = family5.squares[:2]
+        report = verify_set_orthogonality(MolsSet(5, (first, second, first)), 2)
+        assert [v.indices for v in report.failures] == [(1, 3)]
+        assert report.size == 3 and report.subset_count == 3
+        assert verify_set_orthogonality(family5, 3).failures == ()
+        assert len(verify_set_orthogonality(family4, 2).failures) == 6
+
+    def test_indexing_agrees_with_iteration(self, family4):
+        mols = MolsSet(4, family4.squares + family4.squares[:2])
+        for t in (2, 3, 4):
+            verdicts = verify_set_orthogonality(mols, t).verdicts
+            listed = tuple(verdicts)
+            assert len(verdicts) == len(listed) == comb(6, t)
+            assert tuple(verdicts[i] for i in range(len(verdicts))) == listed
+            assert verdicts[-1] == listed[-1]
+            assert verdicts[1:7:2] == listed[1:7:2] and verdicts[::-3] == listed[::-3]
+            for index in (len(listed), -len(listed) - 1):
+                with pytest.raises(IndexError):
+                    verdicts[index]
+
+    def test_unlisted_subsets_are_orthogonal_with_every_tuple_distinct(self, family5):
+        orthogonal = OrthogonalityReport(True, 25, None)
+        assert {v.report for v in verify_set_orthogonality(family5, 2).verdicts} == {orthogonal}
+
+    def test_counts_past_the_index_range_need_no_enumeration(self):
+        # C(70, 35) is about 1.1e20, past sys.maxsize, so len() cannot
+        # return it; subset_count, indexing and the verdict still work.
+        report = verify_set_orthogonality(make_mols_family(71), 35)
+        assert report.subset_count == comb(70, 35)
+        assert report.all_orthogonal
+        with pytest.raises(OverflowError):
+            len(report.verdicts)
+        last = report.verdicts[report.subset_count - 1]
+        assert last.indices == tuple(range(36, 71))
+        assert last.report == OrthogonalityReport(True, 71 * 71, None)
+
+    def test_subset_rank_is_the_position_in_index_order(self):
+        for size in range(1, 8):
+            for t in range(1, size + 1):
+                for rank, indices in enumerate(itertools.combinations(range(1, size + 1), t)):
+                    assert subset_rank(indices, size) == rank
 
 
 class TestFamilyProperties:
