@@ -8,6 +8,7 @@ verification, bad file content, unknown vertex), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -17,9 +18,9 @@ from pathlib import Path
 
 from .errors import MolsNetError
 from .export import FORMATS, export_graph
-from .files import parse_square_file, serialize_square_file
-from .graphs import (PartiteGraph, build_partite_graph, channels_through, edge_multiplicity,
-                     graph_stats, is_bipartite, make_turan_graph, parse_part_label,
+from .files import decode_square_file, parse_square_file, serialize_square_file
+from .graphs import (PartiteGraph, _chain_stats, build_partite_graph, channels_through,
+                     edge_multiplicity, is_bipartite, make_turan_graph, parse_part_label,
                      turan_edge_count, vertex_name)
 from .oracle import (brute_force_distinctness, brute_force_multiplicity, count_edges_brute,
                      enumerate_set_orthogonality, exhaustive_mols_search)
@@ -43,7 +44,7 @@ def _cell(cell: tuple[int, int]) -> str:
 
 
 def _load_set(path: str) -> MolsSet:
-    return parse_square_file(Path(path).read_text())
+    return parse_square_file(decode_square_file(Path(path).read_bytes()))
 
 
 def _load_squares(path: str) -> list[LatinSquare]:
@@ -171,8 +172,8 @@ def cmd_graph(args) -> int:
 def cmd_stats(args) -> int:
     squares = _load_squares(args.infile)
     graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
-    stats = graph_stats(graph)
     mult = edge_multiplicity(graph)
+    stats = _chain_stats(graph, simple=not mult.duplicated_edges)
     bip = is_bipartite(graph)
     parts = ", ".join(f"{label}={size}"
                       for label, size in zip(graph.part_labels, stats.part_sizes))
@@ -345,8 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call.  Reusing it is safe: parse_args
+# returns a new namespace each call, and argparse looks up sys.stdout and
+# sys.stderr only when it prints.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

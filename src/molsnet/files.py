@@ -27,6 +27,20 @@ def serialize_square_file(mols: MolsSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def decode_square_file(data: bytes) -> str:
+    """The text of a square file's bytes, read as UTF-8.
+
+    An undecodable byte raises SquareFileError at its line, counted the way
+    parse_square_file counts lines.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise SquareFileError(f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                              line=len((before + "\0").splitlines())) from None
+
+
 def _convert_row(tokens: list[str], order: int, line_no: int) -> tuple[int, ...]:
     """Convert a row token by token, accepting any spelling int() accepts
     (05, +3, other digit scripts); raise at the first bad token."""

@@ -271,13 +271,20 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
         degrees = tuple((total - size,) * size for size in graph.part_sizes)
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
     n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
+    return _chain_stats(graph, all(len(set(stacked_keys(columns[c], columns[c + 1], n))) == n * n
+                                   for c in range(t - 1)))
+
+
+def _chain_stats(graph: PartiteGraph, simple: bool) -> GraphStats:
+    """graph_stats of a chain graph whose simplicity is already known, so
+    `molsnet stats` can take it from edge_multiplicity's one count of each
+    part pair's keys."""
+    n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
     degrees = []
     for p, column in enumerate(columns):
         counts = Counter(column)
         neighbours = 1 if p in (0, t - 1) else 2
         degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
-    simple = all(len(set(stacked_keys(columns[c], columns[c + 1], n))) == n * n
-                 for c in range(t - 1))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
                       tuple(degrees), simple)
 

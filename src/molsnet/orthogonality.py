@@ -277,25 +277,52 @@ def _appended(scaled: Sequence[int], column: Sequence[int]) -> list[int]:
     return list(map(add, scaled, column))
 
 
-def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
-    """Check every t-subset of the set; return the failures in index order.
+def _runs(size: int, parts: int) -> Iterator[range]:
+    """1..size cut into `parts` contiguous runs whose sizes differ by at most
+    one, the longer runs first: the parts of the Turan graph T(size, parts)."""
+    small, extra = divmod(size, parts)
+    start = 1
+    for p in range(parts):
+        stop = start + small + (p < extra)
+        yield range(start, stop)
+        start = stop
 
-    The subsets are the leaves of the lexicographic prefix tree of index
-    combinations, walked depth first.  A node holds the stacked_keys of its
-    prefix, scaled by n+1 once, so each child adds its column in one pass.
-    Cells that differ on a prefix differ on every extension of it, so a
-    node whose keys are distinct settles all its completions as orthogonal
-    without more work, and a failing node below depth 1 keeps only its
-    cells whose key repeats: its children read just those cells of their
-    column.  A depth-1 node is a Latin column, so it is not tested: for
-    n >= 2 no key of it is unique, and for n = 1 every child settles.  A
-    failing leaf reads its certificate off its keys, as is_t_orthogonal does.
+
+def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tuple[int, int]]]:
+    """Test the pairs within t-1 balanced runs of the squares, in index order.
+
+    Any t squares include two from one run, so when every such pair is
+    orthogonal, so is every t-subset; by Turan's theorem no smaller set of
+    pairs meets every t-subset.  Returns whether every pair passed, and the
+    pairs that passed before the first failing one.
     """
-    size = len(mols.squares)
-    if not 2 <= t <= size:
-        raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
-    n = mols.order
-    flat = [_flat_symbols(square) for square in mols.squares]
+    passed = set()
+    for run in _runs(len(flat), t - 1):
+        for a in run[:-1]:
+            scaled = _scaled(flat[a - 1], n)
+            for b in range(a + 1, run.stop):
+                if len(set(_appended(scaled, flat[b - 1]))) < n * n:
+                    return False, passed
+                passed.add((a, b))
+    return True, passed
+
+
+def _prefix_walk(flat: Sequence[Column], n: int, t: int,
+                 orthogonal_pairs: set[tuple[int, int]]) -> list[SubsetVerdict]:
+    """The failing t-subsets, in index order, from a depth-first prefix walk.
+
+    A node holds the stacked_keys of its prefix, scaled by n+1 once, so each
+    child adds its column in one pass.  Cells that differ on a prefix differ
+    on every extension of it, so a node whose keys are distinct settles all
+    its completions as orthogonal without more work, and so does a pair in
+    orthogonal_pairs, without a pass.  A failing node below depth 1 keeps
+    only its cells whose key repeats: its children read just those cells of
+    their column.  A depth-1 node is a Latin column, so it is not tested:
+    for n >= 2 no key of it is unique, and for n = 1 every child settles.
+    A failing leaf reads its certificate off its keys, as is_t_orthogonal
+    does.
+    """
+    size = len(flat)
     failures: list[SubsetVerdict] = []
     for first in range(1, size - t + 2):
         # Explicit stack of [prefix, scaled keys of the prefix's kept cells,
@@ -310,11 +337,13 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
                 stack.pop()
                 continue
             frame[4] = k + 1
+            child = prefix + (k,)
+            if child in orthogonal_pairs:
+                continue
             column = flat[k - 1]
             keys = _appended(scaled, column if read is None else read(column))
             if len(set(keys)) == len(keys):
                 continue
-            child = prefix + (k,)
             if len(child) == t:
                 failures.append(SubsetVerdict(child, _collision_report(keys, n, positions)))
                 continue
@@ -323,4 +352,24 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
             kept = list(itertools.compress(positions, repeated))
             stack.append([child, _scaled(itertools.compress(keys, repeated), n), kept,
                           itemgetter(*kept), k + 1])
-    return SetOrthogonalityReport(n, t, size, tuple(failures))
+    return failures
+
+
+def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
+    """Check every t-subset of the set; return the failures in index order.
+
+    First the pairs within t-1 balanced runs of the squares are tested
+    (_cover_pairs).  Every t-subset holds one of them, and a subset that
+    holds an orthogonal pair has all n^2 tuples distinct, so if they all
+    pass, every subset does.  Otherwise the prefix tree of index
+    combinations is walked (_prefix_walk), and the pairs that already
+    passed are settled without testing them again.
+    """
+    size = len(mols.squares)
+    if not 2 <= t <= size:
+        raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
+    n = mols.order
+    flat = [_flat_symbols(square) for square in mols.squares]
+    covered, orthogonal_pairs = _cover_pairs(flat, n, t)
+    failures = () if covered else tuple(_prefix_walk(flat, n, t, orthogonal_pairs))
+    return SetOrthogonalityReport(n, t, size, failures)

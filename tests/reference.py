@@ -6,6 +6,9 @@
   `validate_latin` worked before it passed permutation lanes on set equality.
 - `occurrence_report` groups every cell of the grid by its whole tuple, the
   way `is_t_orthogonal` worked before it decided on prefixes of the stack.
+- `distinct_slope_report` is the report of any set of additive squares of
+  one prime order with distinct slopes: every subset passes, by Bose's
+  theorem rather than by any stacking of the squares.
 - `per_edge_export` formats one edge at a time from `sorted_edges()` and
   finds isolated vertices by marking every edge's endpoints, the way
   `export_graph` worked before it joined one run of names per part pair
@@ -16,8 +19,9 @@ import itertools
 import json
 from collections import Counter
 
-from molsnet import (CHAIN, LatinViolation, OrthogonalityReport, SubsetVerdict,
-                     ValidationReport, is_t_orthogonal, part_label, superimpose, vertex_name)
+from molsnet import (CHAIN, LatinViolation, OrthogonalityReport, SetOrthogonalityReport,
+                     SubsetVerdict, ValidationReport, is_t_orthogonal, part_label, superimpose,
+                     vertex_name)
 
 
 def per_subset_verdicts(mols, t):
@@ -27,6 +31,19 @@ def per_subset_verdicts(mols, t):
         array = superimpose([mols.squares[i - 1] for i in combo])
         verdicts.append(SubsetVerdict(combo, is_t_orthogonal(array)))
     return tuple(verdicts)
+
+
+def distinct_slope_report(order, size, t):
+    """The report on the t-subsets of `size` additive squares of prime
+    `order` with distinct slopes, in any order and under any isotopy.
+
+    Slopes h != h' are orthogonal (Bose, Sankhya 3, 1938): i + h*j and
+    i + h'*j mod n fix (i, j), since h' - h is a unit mod the prime n.  Row
+    and column permutations applied to every square, symbol relabellings of
+    each square and a reordering of the squares keep every pair orthogonal,
+    and every t-subset holds a pair, so no subset fails.
+    """
+    return SetOrthogonalityReport(order, t, size, ())
 
 
 def count_latin_violations(square):

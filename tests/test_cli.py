@@ -1,16 +1,20 @@
 import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import molsnet.cli
+import molsnet.graphs
 import molsnet.orthogonality
 
 from golden import ORDER4_SQUARE_FILE
 from molsnet import (MolsSet, make_mols_family, parse_square_file, serialize_square_file,
-                     superimpose)
+                     superimpose, turan_edge_count)
 from molsnet.cli import main
 
 
@@ -147,6 +151,14 @@ class TestVerify:
         assert main(["verify", "--t", "2", "--in", str(tmp_path / "nope.txt")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_byte_is_a_located_file_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"2 2\n1 2\n2 1\n\n2 \xff\n1 2\n")
+        assert main(["verify", "--t", "2", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 5: byte 0xff is not UTF-8 (invalid start byte)\n"
+
 
 def _left_out(orthogonal, failing, cap):
     return (f"left out: {orthogonal} orthogonal and {failing} failing subsets (more than "
@@ -192,7 +204,8 @@ class TestVerifyOutputBound:
     def test_t50_on_order_101_takes_pair_work_and_bounded_output(self, tmp_path, monkeypatch,
                                                                  capsys):
         # C(100, 50), about 1e29 subsets: every pair of the additive family
-        # is orthogonal, so no node below depth 2 is built.
+        # is orthogonal, so only the pairs within 49 balanced runs of the 100
+        # squares are tested: C(100, 2) - turan_edge_count(49, 100) = 53.
         path = tmp_path / "additive101.txt"
         path.write_text(serialize_square_file(make_mols_family(101)))
         passes = Counter()
@@ -206,7 +219,8 @@ class TestVerifyOutputBound:
             f"order 101, 100 squares, t=50: checking {total} subsets",
             _left_out(total, 0, 10_000),
             f"result: all {total} subsets are 50-orthogonal"]
-        assert 0 < sum(passes.values()) <= comb(100, 2) + 100
+        assert passes["_appended"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
+        assert passes["_scaled"] <= 53
 
 
 class TestGraph:
@@ -268,6 +282,21 @@ class TestStats:
         assert "max edge multiplicity: 1" in out
         assert "simple: yes" in out
         assert "note:" not in out
+
+    @pytest.mark.parametrize("order,method", [(7, "additive"), (6, "shift")])
+    def test_each_part_pair_keys_are_built_once(self, order, method, tmp_path, monkeypatch,
+                                                capsys):
+        path = tmp_path / "family.txt"
+        path.write_text(serialize_square_file(make_mols_family(order, method)))
+        built = []
+        original = molsnet.graphs.stacked_keys
+
+        def spy(keys, column, n):
+            built.append(n)
+            return original(keys, column, n)
+        monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
+        assert main(["stats", "--t", "4", "--in", str(path)]) == 0
+        assert len(built) == 3
 
     def test_t_larger_than_file(self, f5_file, capsys):
         assert main(["stats", "--t", "5", "--in", f5_file]) == 1
@@ -359,6 +388,26 @@ class TestCheck:
 
 
 class TestArgparseBehavior:
+    def test_one_process_answers_as_fresh_ones_do(self, f5_file, capsys):
+        # main keeps its parser between calls; a usage error on it must not
+        # change what later calls print.
+        commands = [["verify", "--t", "two", "--in", f5_file],
+                    ["verify", "--t", "3", "--in", f5_file],
+                    ["graph", "--t", "2", "--in", f5_file, "--format", "dot"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(molsnet.cli.__file__).parents[1]))
+        codes = []
+        for argv in commands:
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "molsnet.cli", *argv], env=env,
+                                   capture_output=True, text=True)
+            assert (codes[-1], captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [2, 0, 0]
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

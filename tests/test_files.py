@@ -7,6 +7,7 @@ import molsnet.squares
 from golden import ORDER4_SQUARE_FILE
 from molsnet import (SquareFileError, make_mols_family, parse_square_file,
                      serialize_square_file)
+from molsnet.files import decode_square_file
 from molsnet.cli import main
 
 
@@ -50,6 +51,26 @@ class TestParse:
             parsed = parse_square_file(text)
             assert parsed == canonical
             assert serialize_square_file(parsed) == serialize_square_file(canonical)
+
+
+class TestDecode:
+    def test_utf8_text_is_returned_as_is(self):
+        text = serialize_square_file(make_mols_family(4)) + "\u2028\x85"
+        assert decode_square_file(text.encode()) == text
+
+    @pytest.mark.parametrize("data,message", [
+        (b"\xff", "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"2 1\n\xff", "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"2 1\r\n1 \x80 1", "line 2: byte 0x80 is not UTF-8 (invalid start byte)"),
+        # Lines are counted as parse_square_file counts them (splitlines).
+        ("a\rb\x0cc\u2028d\x85e ".encode() + b"\xfe\n",
+         "line 5: byte 0xfe is not UTF-8 (invalid start byte)"),
+        (b"1 1\n1\n\xc3", "line 3: byte 0xc3 is not UTF-8 (unexpected end of data)"),
+    ])
+    def test_first_bad_byte_is_located_by_line(self, data, message):
+        with pytest.raises(SquareFileError) as excinfo:
+            decode_square_file(data)
+        assert str(excinfo.value) == message
 
 
 class TestParseErrors:

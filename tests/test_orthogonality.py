@@ -1,5 +1,7 @@
 import itertools
+import random
 import weakref
+from collections import Counter
 from math import comb
 
 import pytest
@@ -8,10 +10,11 @@ import molsnet.orthogonality
 from golden import ORDER4_TRIPLE_ARRAY, ORDER5_QUAD_ARRAY
 from molsnet import (LatinSquare, MolsSet, TupleArray, distinct_tuple_count,
                      enumerate_set_orthogonality, is_prime, is_t_orthogonal, make_additive_square,
-                     make_mols_family, make_multiplicative_square, superimpose,
-                     verify_set_orthogonality)
-from molsnet.orthogonality import OrthogonalityReport, subset_rank
-from reference import per_subset_verdicts
+                     make_mols_family, make_multiplicative_square, make_turan_graph, superimpose,
+                     turan_edge_count, verify_set_orthogonality)
+from molsnet.orthogonality import (OrthogonalityReport, _cover_pairs, _flat_symbols, _prefix_walk,
+                                   _runs, subset_rank)
+from reference import distinct_slope_report, per_subset_verdicts
 
 # Every (order, method) up to order 13 whose family has at least two squares.
 FAMILIES = [(n, method) for n in range(2, 14) for method in ("additive", "shift")
@@ -237,6 +240,140 @@ class TestVerifySetOrthogonality:
             if comb(len(family), t) <= 2000:
                 assert tuple(verify_set_orthogonality(family, t).verdicts) == \
                     per_subset_verdicts(family, t)
+
+
+def _key_passes(monkeypatch):
+    """Count the key passes of verify_set_orthogonality, one per tested node."""
+    passes = Counter()
+    original = molsnet.orthogonality._appended
+
+    def spy(scaled, column):
+        passes["keys"] += 1
+        return original(scaled, column)
+    monkeypatch.setattr(molsnet.orthogonality, "_appended", spy)
+    return passes
+
+
+def _pair_passes(monkeypatch):
+    """Count the key passes of each square pair (a, b) in verify: the
+    passes that add column b to square a's column, scaled once per a."""
+    passes, columns, first_of, held = Counter(), {}, {}, []
+    orthogonality = molsnet.orthogonality
+    flat_original, scaled_original = orthogonality._flat_symbols, orthogonality._scaled
+    appended_original = orthogonality._appended
+
+    def flat_spy(square):
+        column = flat_original(square)
+        held.append(column)                # keeps ids from being reused
+        columns[id(column)] = len(columns) + 1
+        return column
+
+    def scaled_spy(keys, n):
+        scaled = scaled_original(keys, n)
+        if id(keys) in columns:
+            held.append(scaled)
+            first_of[id(scaled)] = columns[id(keys)]
+        return scaled
+
+    def appended_spy(scaled, column):
+        if id(scaled) in first_of:
+            passes[first_of[id(scaled)], columns[id(column)]] += 1
+        return appended_original(scaled, column)
+    monkeypatch.setattr(orthogonality, "_flat_symbols", flat_spy)
+    monkeypatch.setattr(orthogonality, "_scaled", scaled_spy)
+    monkeypatch.setattr(orthogonality, "_appended", appended_spy)
+    return passes
+
+
+class TestPairCover:
+    """verify tests the pairs within t-1 balanced runs of the squares first,
+    and walks the prefix tree only from the first failing one."""
+
+    def test_runs_are_the_parts_of_the_turan_graph(self):
+        for size in range(1, 13):
+            for parts in range(1, size + 1):
+                runs = list(_runs(size, parts))
+                assert [len(run) for run in runs] == list(make_turan_graph(parts, size).part_sizes)
+                assert list(itertools.chain.from_iterable(runs)) == list(range(1, size + 1))
+
+    @pytest.mark.parametrize("n", [11, 13, 17, 19, 23])
+    def test_additive_sets_take_exactly_the_cover_pairs(self, n, monkeypatch):
+        family, m = make_mols_family(n), n - 1
+        passes = _key_passes(monkeypatch)
+        for t in range(2, 6):
+            passes.clear()
+            assert verify_set_orthogonality(family, t).all_orthogonal
+            assert passes["keys"] == comb(m, 2) - turan_edge_count(t - 1, m)
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 12, 16])
+    def test_shift_sets_take_at_most_one_pass_more_than_the_walk(self, n, monkeypatch):
+        family = make_mols_family(n, "shift")
+        flat = [_flat_symbols(square) for square in family.squares]
+        passes = _key_passes(monkeypatch)
+        for t in range(2, min(len(family), 5) + 1):
+            passes.clear()
+            report = verify_set_orthogonality(family, t)
+            verify_passes = passes.pop("keys")
+            walked = _prefix_walk(flat, n, t, set())
+            assert verify_passes <= passes["keys"] + 1
+            assert report.failures == tuple(walked)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_duplicates_anywhere_hand_over_without_repeating_a_pair(self, n, monkeypatch):
+        # One copy of each square at each position, then a row shift of the
+        # first square, which fails only with that square and its copies.
+        # The first failing pair of the cover then comes after pairs that
+        # already passed, and the walk must settle those without a pass: only
+        # the failing pair is tested twice, by the cover and by the walk.
+        base = list(make_mols_family(n).squares)
+        first = base[0]
+        shifted = LatinSquare(n, first.cells[1:] + first.cells[:1])
+        settled = 0
+        for source, position in itertools.product(range(len(base)), range(len(base) + 1)):
+            mols = MolsSet(n, tuple(base[:position] + [base[source]] + base[position:] + [shifted]))
+            flat = [_flat_symbols(square) for square in mols.squares]
+            for t in range(2, len(flat) + 1):
+                covered, passed = _cover_pairs(flat, n, t)
+                passes = _pair_passes(monkeypatch)
+                report = verify_set_orthogonality(mols, t)
+                monkeypatch.undo()
+                assert report == enumerate_set_orthogonality(mols, t)
+                repeated = [pair for pair, count in passes.items() if count > 1]
+                assert len(repeated) <= (not covered)
+                assert all(passes[pair] == 2 and pair not in passed for pair in repeated)
+                settled += sum(pair in passed for pair in passes)
+        assert settled > 0
+
+
+def _scrambled_family(n, seed):
+    """The additive family of order n under one row and one column
+    permutation of every square, a symbol relabelling of each square, and a
+    shuffle of the squares."""
+    rng = random.Random(seed)
+    rows, columns = rng.sample(range(n), n), rng.sample(range(n), n)
+    squares = list(make_mols_family(n).squares)
+    rng.shuffle(squares)
+    scrambled = []
+    for square in squares:
+        label = [0] + rng.sample(range(1, n + 1), n)
+        cells = square.cells
+        scrambled.append(LatinSquare(n, tuple(tuple(label[cells[r][c]] for c in columns)
+                                              for r in rows)))
+    return MolsSet(n, tuple(scrambled))
+
+
+class TestDistinctSlopeReference:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_reference_matches_full_enumeration(self, n):
+        family = _scrambled_family(n, n)
+        for t in range(2, n):
+            assert distinct_slope_report(n, n - 1, t) == enumerate_set_orthogonality(family, t)
+
+    @pytest.mark.parametrize("n,ts", [(29, (2, 3, 14)), (53, (2, 3, 26)), (101, (10, 50))])
+    def test_verify_matches_the_reference_on_scrambled_families(self, n, ts):
+        family = _scrambled_family(n, n)
+        for t in ts:
+            assert verify_set_orthogonality(family, t) == distinct_slope_report(n, n - 1, t)
 
 
 class TestSetOrthogonalityReport:

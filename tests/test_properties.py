@@ -40,6 +40,7 @@ from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError, P
                      is_bipartite, is_t_orthogonal, make_complete_multipartite, make_mols_family,
                      parse_square_file, serialize_square_file, superimpose, validate_latin,
                      verify_set_orthogonality, vertex_name)
+from molsnet.files import decode_square_file
 from reference import (count_latin_violations, occurrence_report, per_edge_export,
                        per_subset_verdicts)
 
@@ -360,6 +361,17 @@ def test_single_character_mutations_raise_only_square_file_errors(data, squares)
     skip = 0 if edit == "insert" else 1
     with contextlib.suppress(SquareFileError):
         parse_square_file(text[:at] + ("" if edit == "delete" else char) + text[at + skip:])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), squares=scrambled_squares())
+def test_single_byte_mutations_raise_only_square_file_errors(data, squares):
+    kept = squares[:data.draw(st.integers(1, 2))]
+    raw = serialize_square_file(MolsSet(kept[0].order, tuple(kept))).encode()
+    at = data.draw(st.integers(0, len(raw) - 1))
+    byte = bytes([data.draw(st.integers(0, 255))])
+    with contextlib.suppress(SquareFileError):
+        parse_square_file(decode_square_file(raw[:at] + byte + raw[at + 1:]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
