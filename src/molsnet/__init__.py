@@ -6,21 +6,20 @@ Graphs: multipartite channel graphs, complete multipartite and Turan
 graphs, with brute-force oracles cross-checking every computed quantity.
 """
 
-from .errors import (ConstructionError, MolsNetError, NotLatinError, NotOrthogonalError,
-                     SquareFileError)
+from .errors import (ConstructionError, InputError, MolsNetError, NotLatinError,
+                     NotOrthogonalError, SquareFileError)
 from .export import FORMATS, GraphExport, export_graph
 from .files import parse_square_file, serialize_square_file
 from .graphs import (CHAIN, MULTIPARTITE, BipartitenessReport, ChannelChain, GraphStats,
                      MultiplicityReport, PartiteGraph, build_partite_graph, channels_through,
-                     complete_bipartite, edge_multiplicity, graph_stats, is_bipartite,
-                     make_complete_multipartite, make_turan_graph, parse_part_label, part_label,
-                     turan_edge_count, vertex_name)
+                     edge_multiplicity, graph_stats, is_bipartite, make_complete_multipartite,
+                     make_turan_graph, parse_part_label, part_label, turan_edge_count,
+                     vertex_name)
 from .oracle import (SearchResult, brute_force_distinctness, brute_force_multiplicity,
                      count_edges_brute, enumerate_latin_squares, enumerate_set_orthogonality,
                      exhaustive_mols_search)
 from .orthogonality import (OrthogonalityReport, SetOrthogonalityReport, SubsetVerdict,
-                            TupleArray, distinct_tuple_count, is_t_orthogonal, superimpose,
-                            verify_set_orthogonality)
+                            TupleArray, is_t_orthogonal, superimpose, verify_set_orthogonality)
 from .squares import (LatinSquare, LatinViolation, MolsSet, ValidationReport, apply_row_shift,
                       is_prime, make_additive_square, make_mols_family,
                       make_multiplicative_square, validate_latin)
@@ -34,6 +33,7 @@ __all__ = [
     "ConstructionError",
     "GraphExport",
     "GraphStats",
+    "InputError",
     "LatinSquare",
     "LatinViolation",
     "MolsNetError",
@@ -54,9 +54,7 @@ __all__ = [
     "brute_force_multiplicity",
     "build_partite_graph",
     "channels_through",
-    "complete_bipartite",
     "count_edges_brute",
-    "distinct_tuple_count",
     "edge_multiplicity",
     "enumerate_latin_squares",
     "enumerate_set_orthogonality",

@@ -2,7 +2,9 @@
 
 Subcommands: gen, verify, graph, stats, turan, channels, check.  Exit
 status is 0 for success, 1 for domain errors (no construction, failed
-verification, bad file content, unknown vertex), 2 for usage errors.
+verification, bad file content, out-of-range --t or square index, unknown
+vertex) and OS errors, 2 for usage errors.  Any other exception is a bug
+and propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
-from .errors import MolsNetError
+from .errors import InputError, MolsNetError
 from .export import FORMATS, export_graph
 from .files import decode_square_file, parse_square_file, serialize_square_file
 from .graphs import (PartiteGraph, _chain_stats, build_partite_graph, channels_through,
@@ -81,7 +83,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _first_t_indices(squares: list[LatinSquare], t: int) -> list[int]:
     if t > len(squares):
-        raise ValueError(f"file holds {len(squares)} squares; cannot take the first {t}")
+        raise InputError(f"file holds {len(squares)} squares; cannot take the first {t}")
     return list(range(1, t + 1))
 
 
@@ -158,7 +160,7 @@ def _parse_selection(args, squares: list[LatinSquare]) -> list[int]:
         raise UsageError(f"--squares names {len(indices)} squares but --t is {args.t}")
     for index in indices:
         if not 1 <= index <= len(squares):
-            raise ValueError(f"square index {index} out of range 1..{len(squares)}")
+            raise InputError(f"square index {index} out of range 1..{len(squares)}")
     return indices
 
 
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MolsNetError, ValueError, OSError) as exc:
+    except (MolsNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,10 @@ class NotOrthogonalError(MolsNetError):
         )
 
 
+class InputError(MolsNetError, ValueError):
+    """A parameter a caller passed, such as a subset size or a square index, is out of range."""
+
+
 class NotLatinError(MolsNetError, ValueError):
     """Square `position` (1-based) of a set is not Latin; `violation` is its first fault."""
 

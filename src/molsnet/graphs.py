@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import NotOrthogonalError
+from .errors import InputError, NotOrthogonalError
 from .orthogonality import Cell, TupleArray, cell_of, is_t_orthogonal, stacked_keys
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
@@ -120,15 +120,6 @@ class PartiteGraph:
         return tuple(self.sorted_edges())
 
     @property
-    def chains(self) -> tuple[ChannelChain, ...]:
-        """One chain per cell, in row-major cell order; none for multipartite graphs."""
-        if self.array is None:
-            return ()
-        n = self.array.order
-        return tuple(ChannelChain(cell_of(k, n), symbols)
-                     for k, symbols in enumerate(zip(*self.array.columns)))
-
-    @property
     def num_parts(self) -> int:
         return len(self.part_sizes)
 
@@ -225,7 +216,7 @@ def make_turan_graph(m: int, n: int) -> PartiteGraph:
     The n mod m parts of size ceil(n/m) come first.
     """
     if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        raise InputError(f"need 1 <= m <= n, got m={m}, n={n}")
     small, extra = divmod(n, m)
     sizes = (small + 1,) * extra + (small,) * (m - extra)
     return make_complete_multipartite(sizes)
@@ -234,16 +225,9 @@ def make_turan_graph(m: int, n: int) -> PartiteGraph:
 def turan_edge_count(m: int, n: int) -> int:
     """Closed form C(n-k, 2) + (m-1) * C(k+1, 2) with k = n // m."""
     if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        raise InputError(f"need 1 <= m <= n, got m={m}, n={n}")
     k = n // m
     return comb(n - k, 2) + (m - 1) * comb(k + 1, 2)
-
-
-def complete_bipartite(r: int, s: int) -> PartiteGraph:
-    """K_{r,s}: parts of sizes r and s, one edge per cross pair."""
-    if r < 1 or s < 1:
-        raise ValueError(f"part sizes must be positive, got {r} and {s}")
-    return make_complete_multipartite((r, s))
 
 
 @dataclass(frozen=True)
@@ -294,7 +278,7 @@ def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain,
     if graph.kind != CHAIN:
         raise ValueError("channels exist only in chain-construction graphs")
     if not graph.has_vertex(vertex):
-        raise ValueError(f"unknown vertex {vertex!r}")
+        raise InputError(f"unknown vertex {vertex!r}")
     part, symbol = vertex
     n, columns = graph.array.order, graph.array.columns
     return tuple(ChannelChain(cell_of(k, n), tuple(column[k] for column in columns))

@@ -7,14 +7,13 @@ the stack is t-orthogonal when all n^2 tuples are pairwise distinct.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from math import comb
-from operator import add, attrgetter, gt, itemgetter, mul, ne
+from operator import add, gt, itemgetter, mul, ne
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InputError
 from .squares import LatinSquare, MolsSet
 
 Cell = tuple[int, int]            # (row, column), 1-based
@@ -124,9 +123,9 @@ def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
         orders.add(square.order)
         columns.append(_flat_symbols(square))
     if len(columns) < 2:
-        raise ValueError(f"need at least 2 squares to superimpose, got {len(columns)}")
+        raise InputError(f"need at least 2 squares to superimpose, got {len(columns)}")
     if len(orders) != 1:
-        raise ValueError(f"cannot superimpose squares of mixed orders {sorted(orders)}")
+        raise InputError(f"cannot superimpose squares of mixed orders {sorted(orders)}")
     return TupleArray._of_columns(orders.pop(), tuple(columns))
 
 
@@ -173,11 +172,6 @@ def _collision_report(keys: Sequence[int], n: int,
                                (cell_of(positions[a], n), cell_of(positions[b], n)))
 
 
-def distinct_tuple_count(array: TupleArray) -> int:
-    """Number of distinct tuples; n^2 exactly when the array is orthogonal."""
-    return len(set(zip(*array.columns)))
-
-
 @dataclass(frozen=True)
 class SubsetVerdict:
     indices: tuple[int, ...]      # 1-based positions within the set
@@ -212,7 +206,7 @@ class SetOrthogonalityReport:
         return SubsetVerdicts(self)
 
 
-class SubsetVerdicts(SequenceABC):
+class SubsetVerdicts:
     """Every verdict of a report, in index order, made on demand.
 
     len() is C(size, t) without enumerating; it raises OverflowError past
@@ -232,33 +226,6 @@ class SubsetVerdicts(SequenceABC):
         failed = {v.indices: v for v in r.failures}.get
         for indices in itertools.combinations(range(1, r.size + 1), r.t):
             yield failed(indices) or SubsetVerdict(indices, orthogonal)
-
-    def __getitem__(self, index):
-        r = self._report
-        count = r.subset_count
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(count)[index]))
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("verdict index out of range")
-        indices = _nth_subset(index, r.size, r.t)
-        at = bisect_left(r.failures, indices, key=attrgetter("indices"))
-        if at < len(r.failures) and r.failures[at].indices == indices:
-            return r.failures[at]
-        return SubsetVerdict(indices, OrthogonalityReport(True, r.order ** 2, None))
-
-
-def _nth_subset(index: int, size: int, t: int) -> tuple[int, ...]:
-    """The t-subset of 1..size at position index in lexicographic order."""
-    indices, x = [], 1
-    for left in range(t, 0, -1):
-        while index >= (starting_at_x := comb(size - x, left - 1)):
-            index -= starting_at_x
-            x += 1
-        indices.append(x)
-        x += 1
-    return tuple(indices)
 
 
 def subset_rank(indices: Sequence[int], size: int) -> int:
@@ -314,10 +281,10 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     A node holds the stacked_keys of its prefix, scaled by n+1 once, so each
     child adds its column in one pass.  Cells that differ on a prefix differ
     on every extension of it, so a node whose keys are distinct settles all
-    its completions as orthogonal without more work, and so does a pair in
-    orthogonal_pairs, without a pass.  A failing node below depth 1 keeps
-    only its cells whose key repeats: its children read just those cells of
-    their column.  A depth-1 node is a Latin column, so it is not tested:
+    its completions as orthogonal without more work, and so does a node
+    that holds a pair in orthogonal_pairs, at any depth, without a pass.  A
+    failing node below depth 1 keeps only its cells whose key repeats: its
+    children read just those cells of their column.  A depth-1 node is a Latin column, so it is not tested:
     for n >= 2 no key of it is unique, and for n = 1 every child settles.
     A failing leaf reads its certificate off its keys, as is_t_orthogonal
     does.
@@ -337,9 +304,9 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
                 stack.pop()
                 continue
             frame[4] = k + 1
-            child = prefix + (k,)
-            if child in orthogonal_pairs:
+            if any((p, k) in orthogonal_pairs for p in prefix):
                 continue
+            child = prefix + (k,)
             column = flat[k - 1]
             keys = _appended(scaled, column if read is None else read(column))
             if len(set(keys)) == len(keys):
@@ -362,12 +329,12 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     (_cover_pairs).  Every t-subset holds one of them, and a subset that
     holds an orthogonal pair has all n^2 tuples distinct, so if they all
     pass, every subset does.  Otherwise the prefix tree of index
-    combinations is walked (_prefix_walk), and the pairs that already
-    passed are settled without testing them again.
+    combinations is walked (_prefix_walk), and every node that holds a
+    pair that already passed is settled without testing it.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
-        raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
+        raise InputError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     flat = [_flat_symbols(square) for square in mols.squares]
     covered, orthogonal_pairs = _cover_pairs(flat, n, t)

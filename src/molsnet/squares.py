@@ -53,10 +53,6 @@ class LatinSquare:
         if len(self.cells) != self.order or any(len(row) != self.order for row in self.cells):
             raise ValueError(f"cells must form a {self.order}x{self.order} grid")
 
-    def at(self, i: int, j: int) -> int:
-        """Symbol in row i, column j (1-based)."""
-        return self.cells[i - 1][j - 1]
-
 
 @dataclass(frozen=True)
 class LatinViolation:

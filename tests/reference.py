@@ -9,6 +9,9 @@
 - `distinct_slope_report` is the report of any set of additive squares of
   one prime order with distinct slopes: every subset passes, by Bose's
   theorem rather than by any stacking of the squares.
+- `shift_family_report` is the report of the shift family of an order n
+  with n+1 prime, from the row classes of a closed form rather than any
+  stacking of the squares.
 - `per_edge_export` formats one edge at a time from `sorted_edges()` and
   finds isolated vertices by marking every edge's endpoints, the way
   `export_graph` worked before it joined one run of names per part pair
@@ -44,6 +47,39 @@ def distinct_slope_report(order, size, t):
     and every t-subset holds a pair, so no subset fails.
     """
     return SetOrthogonalityReport(order, t, size, ())
+
+
+def shift_family_report(order, t):
+    """The report on the t-subsets of the shift family of `order`, n + 1 = p
+    prime: square k (0-based, file position k + 1) holds sigma_k(i) * j mod p,
+    with sigma_k(i) = ((i - 1 + k) mod n) + 1.
+
+    Cells (i, j) and (i', j') collide on a subset K exactly when
+    sigma_k(i) / sigma_k(i') mod p is one r for every k in K, and then
+    j' = r * j.  With k0 the first member of K, that holds exactly when rows
+    i and i' share the signature (sigma_k(i) / sigma_k0(i) mod p for k in K).
+    A row group of size g >= 2 makes n classes of g cells each, so n * (g - 1)
+    tuples repeat; the first colliding cells are (i, 1) and (i', r) for the
+    smallest row i with a partner and its smallest partner i'.
+    """
+    n, p = order, order + 1
+
+    def sigma(k, i):
+        return (i - 1 + k) % n + 1
+    failures = []
+    for combo in itertools.combinations(range(1, n + 1), t):
+        k0 = combo[0] - 1
+        groups = {}
+        for i in range(1, n + 1):
+            inverse = pow(sigma(k0, i), -1, p)
+            groups.setdefault(tuple(sigma(k - 1, i) * inverse % p for k in combo), []).append(i)
+        repeated = sum(len(rows) - 1 for rows in groups.values())
+        if repeated:
+            i, partner = min(rows[:2] for rows in groups.values() if len(rows) > 1)
+            r = sigma(k0, i) * pow(sigma(k0, partner), -1, p) % p
+            report = OrthogonalityReport(False, n * n - n * repeated, ((i, 1), (partner, r)))
+            failures.append(SubsetVerdict(combo, report))
+    return SetOrthogonalityReport(n, t, n, tuple(failures))
 
 
 def count_latin_violations(square):

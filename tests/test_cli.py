@@ -13,8 +13,10 @@ import molsnet.graphs
 import molsnet.orthogonality
 
 from golden import ORDER4_SQUARE_FILE
-from molsnet import (MolsSet, make_mols_family, parse_square_file, serialize_square_file,
-                     superimpose, turan_edge_count)
+from molsnet import (InputError, MolsSet, build_partite_graph, channels_through,
+                     make_mols_family, make_turan_graph, parse_square_file,
+                     serialize_square_file, superimpose, turan_edge_count,
+                     verify_set_orthogonality)
 from molsnet.cli import main
 
 
@@ -417,3 +419,35 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--t", "2"])
         assert excinfo.value.code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["verify", "--t", "1"], ["verify", "--t", "5"],
+                                      ["graph", "--t", "1"], ["stats", "--t", "0"]])
+    def test_out_of_range_t_exits_1(self, argv, f5_file, capsys):
+        # main catches no bare ValueError, so exit 1 means the check raised a
+        # domain error.
+        assert main(argv + ["--in", f5_file]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_range_checks_raise_input_error(self):
+        family = make_mols_family(5)
+        graph = build_partite_graph(superimpose(list(family.squares[:2])))
+        calls = [lambda: verify_set_orthogonality(family, 1),
+                 lambda: superimpose(family.squares[:1]),
+                 lambda: superimpose([family[0], make_mols_family(4)[0]]),
+                 lambda: make_turan_graph(0, 4), lambda: turan_edge_count(5, 4),
+                 lambda: channels_through(graph, (2, 1))]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
+        assert issubclass(InputError, ValueError)
+
+    def test_a_value_error_inside_a_phase_is_not_an_exit_code(self, f5_file, monkeypatch):
+        # Only domain errors and OS errors become exit 1; any other exception
+        # is a bug and reaches the caller with its traceback.
+        def broken(graph, fmt):
+            raise ValueError("bug inside the export phase")
+        monkeypatch.setattr(molsnet.cli, "export_graph", broken)
+        with pytest.raises(ValueError, match="bug inside the export phase"):
+            main(["graph", "--t", "2", "--in", f5_file])

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from molsnet import (CHAIN, MULTIPARTITE, NotOrthogonalError, PartiteGraph, TupleArray,
-                     build_partite_graph, channels_through, complete_bipartite,
-                     edge_multiplicity, graph_stats, is_bipartite, make_complete_multipartite,
-                     make_mols_family, make_turan_graph, parse_part_label, part_label,
-                     superimpose, turan_edge_count, vertex_name)
+                     build_partite_graph, channels_through, edge_multiplicity, graph_stats,
+                     is_bipartite, make_complete_multipartite, make_mols_family,
+                     make_turan_graph, parse_part_label, part_label, superimpose,
+                     turan_edge_count, vertex_name)
 
 
 def chain_graph(family, t):
@@ -48,7 +48,6 @@ class TestBuildPartiteGraph:
         assert graph.part_sizes == (4, 4, 4)
         assert graph.vertex_count == 12
         assert len(graph.edges) == 32
-        assert len(graph.chains) == 16
 
     def test_order_5_quad_graph_shape(self, family5):
         graph = chain_graph(family5, 4)
@@ -58,7 +57,7 @@ class TestBuildPartiteGraph:
 
     def test_chains_read_off_the_cells(self, family4):
         graph = chain_graph(family4, 3)
-        first = graph.chains[0]
+        first = channels_through(graph, (0, 1))[0]
         assert first.cell == (1, 1)
         assert first.symbols == (1, 2, 3)
         assert first.path == ((0, 1), (1, 2), (2, 3))
@@ -139,7 +138,7 @@ class TestBipartiteness:
                 assert colors[u] != colors[v]
 
     def test_complete_bipartite_is_bipartite(self):
-        report = is_bipartite(complete_bipartite(2, 3))
+        report = is_bipartite(make_complete_multipartite((2, 3)))
         assert report.bipartite
 
     def test_triangle_fails_with_a_verifiable_witness(self):
@@ -207,8 +206,8 @@ class TestCompleteMultipartite:
     def test_counts(self):
         assert len(make_complete_multipartite((2, 3)).edges) == 6
         assert len(make_complete_multipartite((2, 2, 2)).edges) == 12
-        assert complete_bipartite(4, 4).edge_count == 16
-        assert complete_bipartite(1, 1).edge_count == 1
+        assert make_complete_multipartite((4, 4)).edge_count == 16
+        assert make_complete_multipartite((1, 1)).edge_count == 1
 
     def test_edges_are_stored_part_ascending(self):
         for u, v in make_complete_multipartite((3, 1, 2)).edges:
@@ -220,7 +219,7 @@ class TestCompleteMultipartite:
         with pytest.raises(ValueError):
             make_complete_multipartite((2, 0, 1))
         with pytest.raises(ValueError):
-            complete_bipartite(0, 3)
+            make_complete_multipartite((0, 3))
 
 
 class TestGraphStats:

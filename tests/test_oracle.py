@@ -52,7 +52,7 @@ class TestBruteForceDistinctness:
 class TestEnumerateSetOrthogonality:
     def test_order_4_shift_pairs_carry_their_first_collision(self, family4):
         report = enumerate_set_orthogonality(family4, 2)
-        first = report.verdicts[0]
+        first = tuple(report.verdicts)[0]
         assert first.indices == (1, 2)
         assert not first.report.is_orthogonal
         assert first.report.distinct_count == 12
@@ -62,7 +62,7 @@ class TestEnumerateSetOrthogonality:
 
     def test_repeated_square_keeps_only_the_diagonal_tuples(self, family5):
         doubled = MolsSet(5, (family5[0], family5[1], family5[0]))
-        verdicts = enumerate_set_orthogonality(doubled, 2).verdicts
+        verdicts = tuple(enumerate_set_orthogonality(doubled, 2).verdicts)
         assert [v.indices for v in verdicts] == [(1, 2), (1, 3), (2, 3)]
         assert [v.report.is_orthogonal for v in verdicts] == [True, False, True]
         assert verdicts[1].report.distinct_count == 5

@@ -24,7 +24,7 @@ class TestMultiplicativeSquare:
         square = make_multiplicative_square(6)
         for i in range(1, 7):
             for j in range(1, 7):
-                assert square.at(i, j) == (i * j) % 7
+                assert square.cells[i - 1][j - 1] == (i * j) % 7
         assert validate_latin(square).ok
 
     def test_rejects_nonprime_successor(self):
@@ -87,7 +87,7 @@ class TestAdditiveSquare:
         for i in range(1, 8):
             for j in range(1, 8):
                 expected = (i + 3 * j) % 7
-                assert square.at(i, j) == (expected if expected else 7)
+                assert square.cells[i - 1][j - 1] == (expected if expected else 7)
 
     def test_families_follow_the_closed_form_up_to_order_101(self):
         # The squares are built as rotations of their first row.
