@@ -53,8 +53,14 @@ class TupleArray:
         return array
 
     def _set(self, order: int, arity: int, columns: tuple[Column, ...]) -> None:
-        """The one symbol check of both constructors; fields are set only if it passes."""
-        if any(min(column) < 1 or max(column) > order for column in columns if column):
+        """The one symbol check of both constructors; fields are set only if it passes.
+
+        Columns whose bytes all lie in 1..order pass at once; any other
+        column, including one with a symbol bytes() refuses, and every
+        column of an order above 255, is tested by its min and max.
+        """
+        if not _symbols_are_bytes_in_range(order, columns) and any(
+                min(column) < 1 or max(column) > order for column in columns if column):
             _raise_first_bad_entry(order, arity, list(zip(*columns)))
         for name, value in (("order", order), ("arity", arity), ("columns", columns)):
             object.__setattr__(self, name, value)
@@ -72,6 +78,15 @@ class TupleArray:
             raise IndexError(f"cell ({i}, {j}) lies outside the {n}x{n} grid")
         k = (i - 1) * n + j - 1
         return tuple(column[k] for column in self.columns)
+
+
+def _symbols_are_bytes_in_range(order: int, columns: tuple[Column, ...]) -> bool:
+    """Whether deleting bytes 1..order empties every column read as bytes."""
+    try:
+        full = bytes(range(1, order + 1))
+        return not any(bytes(column).translate(None, full) for column in columns)
+    except (TypeError, ValueError):
+        return False
 
 
 def _raise_first_bad_entry(n: int, t: int, entries: list[SymbolTuple]) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .errors import ConstructionError, NotLatinError
 
@@ -38,9 +39,10 @@ def is_prime(n: int) -> bool:
 class LatinSquare:
     """An n x n grid intended to hold each of 1..n once per row and column.
 
-    The constructor checks shape only, so that broken grids can still be
-    built and handed to validate_latin for a diagnosis.  provenance records
-    how the square was made and is ignored by equality.
+    The constructor checks shape only, one len per row at C speed, so that
+    broken grids can still be built and handed to validate_latin for a
+    diagnosis.  provenance records how the square was made and is ignored
+    by equality.
     """
 
     order: int
@@ -50,7 +52,7 @@ class LatinSquare:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"order must be at least 1, got {self.order}")
-        if len(self.cells) != self.order or any(len(row) != self.order for row in self.cells):
+        if len(self.cells) != self.order or any(map(self.order.__ne__, map(len, self.cells))):
             raise ValueError(f"cells must form a {self.order}x{self.order} grid")
 
 
@@ -74,7 +76,34 @@ class ValidationReport:
 
 def validate_latin(square: LatinSquare) -> ValidationReport:
     """Report every duplicated or missing symbol, rows first, then columns.
-    Only a lane that is not a permutation of 1..n has its symbols counted."""
+
+    A square is accepted from its bytes when every row and column, read as
+    bytes, holds each of 1..n: a lane of n bytes that does is a permutation.
+    Any other square is diagnosed by counting its symbols; that includes
+    every square with a symbol bytes() refuses (not an int in 0..255), so
+    every square of order above 255.
+    """
+    if _lanes_are_permutations(square):
+        return ValidationReport(True)
+    return _count_violations(square)
+
+
+def _lanes_are_permutations(square: LatinSquare) -> bool:
+    """Whether every lane deletes all of bytes 1..n; False if a symbol is no byte."""
+    n = square.order
+    try:
+        flat = b"".join(map(bytes, square.cells))
+        full = bytes(range(1, n + 1))
+    except (TypeError, ValueError):
+        return False
+    rows = (flat[k:k + n] for k in range(0, n * n, n))
+    columns = (flat[j::n] for j in range(n))
+    return not any(map(full.translate, repeat(None), chain(rows, columns)))
+
+
+def _count_violations(square: LatinSquare) -> ValidationReport:
+    """validate_latin's diagnosis: only a lane that is not a permutation of
+    1..n has its symbols counted."""
     n = square.order
     symbols = set(range(1, n + 1))
     violations = []

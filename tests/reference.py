@@ -3,7 +3,9 @@
 - `per_subset_verdicts` superimposes and checks each t-subset on its own,
   the way `verify_set_orthogonality` worked before it walked the prefix tree.
 - `count_latin_violations` counts every symbol of every lane, the way
-  `validate_latin` worked before it passed permutation lanes on set equality.
+  `validate_latin` worked before it passed permutation lanes on set equality
+  and, later, accepted whole squares whose lanes read as byte strings hold
+  every byte 1..n.
 - `occurrence_report` groups every cell of the grid by its whole tuple, the
   way `is_t_orthogonal` worked before it decided on prefixes of the stack.
 - `distinct_slope_report` is the report of any set of additive squares of

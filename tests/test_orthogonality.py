@@ -478,6 +478,26 @@ class TestTupleArrayChecks:
         with pytest.raises(ValueError, match=r"1\.\.2, got \(2, 3, 3\)"):
             superimpose([make_additive_square(2, 1), square, square])
 
+    @pytest.mark.parametrize("n", [2, 255, 256])
+    def test_symbols_past_the_byte_range_name_the_first_bad_entry(self, n):
+        cyclic = tuple(tuple((r + c) % n + 1 for c in range(n)) for r in range(n))
+        for value in (0, -1, n + 1, 256):
+            # Bad in the second square at cell (1, 2) and in the first at cell (2, 1),
+            # so the first bad entry in row-major order is not in the first column.
+            first = [list(row) for row in cyclic]
+            second = [list(row) for row in cyclic]
+            first[1][0] = second[0][1] = value
+            squares = [LatinSquare(n, tuple(map(tuple, cells))) for cells in (first, second)]
+            grid = tuple(tuple(zip(a, b)) for a, b in zip(first, second))
+            for build in (lambda: TupleArray(n, 2, grid), lambda: superimpose(squares)):
+                if 1 <= value <= n:
+                    assert build().tuple_at(1, 2) == (cyclic[0][1], value)
+                    continue
+                with pytest.raises(ValueError) as excinfo:
+                    build()
+                assert str(excinfo.value) == (
+                    f"symbols must lie in 1..{n}, got {(cyclic[0][1], value)!r}")
+
     def test_cells_outside_the_grid_are_rejected(self):
         array = TupleArray(2, 2, (((1, 1), (2, 2)), ((2, 1), (1, 2))))
         assert array.tuple_at(2, 1) == (2, 1)

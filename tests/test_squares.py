@@ -1,9 +1,11 @@
 import pytest
 
+import molsnet.squares
 from golden import ORDER4_SQUARES, ORDER5_SQUARES
-from molsnet import (ConstructionError, LatinSquare, MolsSet, apply_row_shift, is_prime,
-                     make_additive_square, make_mols_family, make_multiplicative_square,
-                     validate_latin)
+from molsnet import (ConstructionError, LatinSquare, MolsSet, SquareFileError, apply_row_shift,
+                     is_prime, make_additive_square, make_mols_family, make_multiplicative_square,
+                     parse_square_file, serialize_square_file, validate_latin)
+from reference import count_latin_violations
 
 
 def test_is_prime_small_values():
@@ -180,6 +182,71 @@ class TestValidateLatin:
         report = validate_latin(LatinSquare(2, ((1, 3), (2, 1))))
         assert not report.ok
         assert any(v.problem == "missing" and v.symbol == 2 for v in report.violations)
+
+
+def _cyclic(n):
+    return tuple(tuple((r + c) % n + 1 for c in range(n)) for r in range(n))
+
+
+def _with_cell(cells, i, j, value):
+    """cells with cell (i, j), 0-based, set to value."""
+    row = cells[i][:j] + (value,) + cells[i][j + 1:]
+    return cells[:i] + (row,) + cells[i + 1:]
+
+
+class TestByteRangeEdges:
+    """Orders and symbols on both sides of the byte range 0..255."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 255, 256, 257])
+    def test_reports_and_errors_equal_the_per_symbol_count(self, n):
+        cyclic = _cyclic(n)
+        squares = [LatinSquare(n, cyclic)] + [
+            LatinSquare(n, _with_cell(cyclic, n // 2, n // 3, value))
+            for value in (0, -1, n + 1, 256, 300, 1.0, True)]
+        for square in squares:
+            report = count_latin_violations(square)
+            assert validate_latin(square) == report
+            if report.ok:
+                assert MolsSet(n, (square,)).squares == (square,)
+                continue
+            with pytest.raises(ValueError) as excinfo:
+                MolsSet(n, (square,))
+            assert str(excinfo.value) == (
+                f"square 1 is not Latin: {report.violations[0].describe()}")
+
+
+class TestLatinCheckWork:
+    """Which squares reach validate_latin's symbol count, counted by a spy."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        count_violations = molsnet.squares._count_violations
+
+        def spy(square):
+            calls.append(square.order)
+            return count_violations(square)
+        monkeypatch.setattr(molsnet.squares, "_count_violations", spy)
+        return calls
+
+    def test_generated_families_and_a_valid_file_are_not_counted(self, counted):
+        primes = [p for p in range(2, 102) if is_prime(p)]
+        for p in primes:
+            make_mols_family(p, "additive")
+            if p > 2:
+                make_mols_family(p - 1, "shift")
+        parse_square_file(serialize_square_file(make_mols_family(101)))
+        assert counted == []
+
+    def test_a_file_with_one_non_latin_block_is_counted_once(self, counted):
+        blocks = list(make_mols_family(11).squares)
+        cells = blocks[1].cells
+        blocks[1] = LatinSquare(11, _with_cell(cells, 4, 6, cells[4][7]))
+        text = "11 10\n" + "\n".join(
+            "".join(" ".join(map(str, row)) + "\n" for row in block.cells) for block in blocks)
+        with pytest.raises(SquareFileError, match="block 2 is not a Latin square"):
+            parse_square_file(text)
+        assert counted == [11]
 
 
 class TestConstructorChecks:
