@@ -80,8 +80,8 @@ def validate_latin(square: LatinSquare) -> ValidationReport:
     A square is accepted from its bytes when every row and column, read as
     bytes, holds each of 1..n: a lane of n bytes that does is a permutation.
     Any other square is diagnosed by counting its symbols; that includes
-    every square with a symbol bytes() refuses (not an int in 0..255), so
-    every square of order above 255.
+    every square with a symbol bytes() refuses (not an int in 0..255) and
+    every square of order above 255, whose 1..n does not fit in bytes.
     """
     if _lanes_are_permutations(square):
         return ValidationReport(True)
