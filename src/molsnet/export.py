@@ -2,10 +2,12 @@
 vertices are emitted part by part and edges in sorted order, with parallel
 edges repeated.
 
-Every format formats its edges from one stream of (tail, head) name pairs
-with one run per part pair of a chain graph, in `sorted_edges` order, and
-each run becomes text in one `str.join`, so no step runs once per edge in
-Python.  The text is kept as a list of chunks and joined once at the end.
+Every format renders its edges as one run of text per part pair of a chain
+graph, in `sorted_edges` order, and the formats differ only in the two
+separators of a run.  A part pair that holds every symbol pair once is the
+n x n grid, joined once per tail; any other is decoded from its sorted
+keys and joined once per run.  The text is kept as a list of chunks and
+joined once at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 from operator import floordiv, mod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graphs import CHAIN, PartiteGraph, part_label, vertex_name
 
@@ -44,21 +46,40 @@ def _vertex_names(graph: PartiteGraph) -> list[list[str]]:
             for p, size in enumerate(graph.part_sizes)]
 
 
-def _name_runs(graph: PartiteGraph, names: list[list[str]]) -> Iterator[Iterable[tuple[str, str]]]:
-    """The edges as (tail, head) names in `sorted_edges` order, in nonempty runs.
+def _edge_runs(graph: PartiteGraph, names: list[list[str]], pair_sep: str,
+               line_sep: str) -> Iterator[str]:
+    """The edges in `sorted_edges` order as text, in nonempty runs: each edge
+    is tail + pair_sep + head, and line_sep goes between edges.
 
-    A chain graph gives one run per part pair, decoded from that pair's
-    sorted keys tail * (n+1) + head; a complete multipartite graph gives
-    one run walking `sorted_edges`, or none when it has a single part.
+    A chain graph gives one run per part pair.  When the pair's n^2 keys are
+    distinct, it holds all n^2 symbol pairs once each, so its sorted edges
+    are the grid: every tail in order, each with every head in order.  Any
+    other pair is decoded from its sorted keys tail * (n+1) + head.  A
+    complete multipartite graph gives one run walking `sorted_edges`, or
+    none when it has a single part.
     """
     if graph.array is None:
         if graph.edge_count:
-            yield ((names[p][u], names[q][v]) for (p, u), (q, v) in graph.sorted_edges())
+            yield line_sep.join(pair_sep.join((names[p][u], names[q][v]))
+                                for (p, u), (q, v) in graph.sorted_edges())
         return
-    base = repeat(graph.array.order + 1)
-    for c, keys in enumerate(graph.sorted_edge_keys()):
-        yield zip(map(names[c].__getitem__, map(floordiv, keys, base)),
-                  map(names[c + 1].__getitem__, map(mod, keys, base)))
+    n = graph.array.order
+    base = repeat(n + 1)
+    for c, keys in enumerate(graph._edge_keys()):
+        tails, heads = names[c], names[c + 1]
+        if len(set(keys)) == n * n:
+            yield _grid_run(tails[1:], heads[1:], pair_sep, line_sep)
+        else:
+            keys.sort()
+            yield line_sep.join(map(pair_sep.join, zip(
+                map(tails.__getitem__, map(floordiv, keys, base)),
+                map(heads.__getitem__, map(mod, keys, base)))))
+
+
+def _grid_run(tails: list[str], heads: list[str], pair_sep: str, line_sep: str) -> str:
+    """Every (tail, head) pair, tails in order, each with every head in order."""
+    return line_sep.join([tail + pair_sep + (line_sep + tail + pair_sep).join(heads)
+                          for tail in tails])
 
 
 def _isolated_names(graph: PartiteGraph, names: list[list[str]]) -> list[str]:
@@ -76,8 +97,8 @@ def _to_edge_list(graph: PartiteGraph) -> list[str]:
     # Isolated vertices get a bare declaration line so they are not lost.
     names = _vertex_names(graph)
     chunks = [f"{name}\n" for name in _isolated_names(graph, names)]
-    for run in _name_runs(graph, names):
-        chunks += ("\n".join(map(" ".join, run)), "\n")
+    for run in _edge_runs(graph, names, " ", "\n"):
+        chunks += (run, "\n")
     return chunks
 
 
@@ -93,8 +114,8 @@ def _to_dot(graph: PartiteGraph) -> list[str]:
         lines.extend(f"    {name};" for name in part[1:])
         lines.append("  }")
     chunks = ["\n".join(lines), "\n"]
-    for run in _name_runs(graph, names):
-        chunks += ("  ", ";\n  ".join(map(f" {connector} ".join, run)), ";\n")
+    for run in _edge_runs(graph, names, f" {connector} ", ";\n  "):
+        chunks += ("  ", run, ";\n")
     chunks.append("}\n")
     return chunks
 
@@ -114,8 +135,8 @@ def _to_json(graph: PartiteGraph) -> list[str]:
     header = json.dumps(payload, indent=2)
     # Vertex names match [A-Z]+[0-9]+, which JSON string escaping leaves
     # unchanged, so each run is laid out as indent=2 would lay it out.
-    runs = ('    [\n      "' + '"\n    ],\n    [\n      "'.join(map('",\n      "'.join, run))
-            + '"\n    ]' for run in _name_runs(graph, _vertex_names(graph)))
+    runs = ('    [\n      "' + run + '"\n    ]' for run in _edge_runs(
+        graph, _vertex_names(graph), '",\n      "', '"\n    ],\n    [\n      "'))
     edges = ",\n".join(runs)
     if not edges:
         return [header, "\n"]

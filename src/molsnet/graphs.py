@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -24,8 +25,10 @@ CHAIN = "chain-construction"
 MULTIPARTITE = "complete-multipartite"
 
 
+@cache
 def part_label(index: int) -> str:
-    """0 -> A, 25 -> Z, 26 -> AA, spreadsheet style."""
+    """0 -> A, 25 -> Z, 26 -> AA, spreadsheet style; each label is derived
+    once per process, since vertex names repeat it for every symbol."""
     if index < 0:
         raise ValueError(f"part index must be nonnegative, got {index}")
     label = ""
@@ -109,11 +112,14 @@ class PartiteGraph:
         """Per part pair c of a chain graph, the keys u * (n+1) + v of its
         edges (c, u) -> (c+1, v), ascending: stacked keys sort as their
         symbol pairs do, so this is the one definition of the edge order."""
-        n, columns = self.array.order, self.array.columns
-        for c in range(self.array.arity - 1):
-            keys = stacked_keys(columns[c], columns[c + 1], n)
+        for keys in self._edge_keys():
             keys.sort()
             yield keys
+
+    def _edge_keys(self) -> Iterator[list[int]]:
+        """Per part pair c of a chain graph, the keys of its edges in cell order."""
+        n, columns = self.array.order, self.array.columns
+        return (stacked_keys(columns[c], columns[c + 1], n) for c in range(self.array.arity - 1))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -174,10 +180,10 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     """
     if graph.kind != CHAIN:
         raise ValueError("edge multiplicity applies to chain-construction graphs")
-    n, columns = graph.array.order, graph.array.columns
+    n = graph.array.order
     duplicated = []
-    for c in range(graph.array.arity - 1):
-        counts = Counter(stacked_keys(columns[c], columns[c + 1], n))
+    for c, keys in enumerate(graph._edge_keys()):
+        counts = Counter(keys)
         if len(counts) < n * n:
             repeated = sorted(item for item in counts.items() if item[1] > 1)
             duplicated += [(((c, key // (n + 1)), (c + 1, key % (n + 1))), count)
@@ -254,9 +260,8 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
         total = graph.vertex_count
         degrees = tuple((total - size,) * size for size in graph.part_sizes)
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
-    n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
-    return _chain_stats(graph, all(len(set(stacked_keys(columns[c], columns[c + 1], n))) == n * n
-                                   for c in range(t - 1)))
+    n = graph.array.order
+    return _chain_stats(graph, all(len(set(keys)) == n * n for keys in graph._edge_keys()))
 
 
 def _chain_stats(graph: PartiteGraph, simple: bool) -> GraphStats:

@@ -10,7 +10,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from operator import add, gt, itemgetter, mul, ne
+from operator import add, gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -174,16 +174,15 @@ def _collision_report(keys: Sequence[int], n: int,
 
     keys[k] is the key of row-major position positions[k], in increasing
     position order; every cell left out of positions holds a key no other
-    cell holds.  firsts[k] is the first index holding the key of index k.
-    The smallest index some later index points back to is the first cell
-    of the certificate, and the next index pointing to it is the second.
+    cell holds.  One count of the keys gives the distinct count.  The first
+    index whose key repeats is that key's first occurrence, so it is the
+    first cell of the certificate, and the key's next occurrence the second.
     """
-    seen: dict[int, int] = {}
-    m = len(keys)
-    firsts = list(map(seen.setdefault, keys, range(m)))
-    a = min(itertools.compress(firsts, map(ne, firsts, range(m))))
-    b = firsts.index(a, a + 1)
-    return OrthogonalityReport(False, n * n - m + len(seen),
+    counts = Counter(keys)
+    a = next(itertools.compress(itertools.count(), map(gt, map(counts.__getitem__, keys),
+                                                       itertools.repeat(1))))
+    b = keys.index(keys[a], a + 1)
+    return OrthogonalityReport(False, n * n - len(keys) + len(counts),
                                (cell_of(positions[a], n), cell_of(positions[b], n)))
 
 

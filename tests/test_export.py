@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import molsnet.export
 from molsnet import (CHAIN, FORMATS, PartiteGraph, TupleArray, build_partite_graph, export_graph, make_complete_multipartite,
                      make_mols_family, make_turan_graph, superimpose)
 from reference import per_edge_export
@@ -114,6 +115,58 @@ def test_every_small_complete_multipartite_graph_matches_the_per_edge_exporter()
             graph = make_complete_multipartite(sizes)
             for fmt in FORMATS:
                 assert export_graph(graph, fmt).content == per_edge_export(graph, fmt), sizes
+
+
+def mixed_chain_graphs():
+    """Chain graphs named by their kind: stacks whose consecutive squares are
+    orthogonal, equal or neither, so their part pairs take both run kinds."""
+    graphs = {}
+    for n in (5, 7, 11):
+        h1, h2, h3 = make_mols_family(n).squares[:3]
+        graphs[f"h1 h1 h2 h3 h3, order {n}"] = build_partite_graph(superimpose([h1, h1, h2, h3, h3]))
+    graphs["additive family, order 7"] = build_partite_graph(superimpose(list(make_mols_family(7).squares)))
+    graphs["shift family, order 6"] = build_partite_graph(superimpose(list(make_mols_family(6, "shift").squares)))
+    graphs["order 1"] = PartiteGraph(CHAIN, (1, 1), TupleArray(1, 2, (((1, 1),),)))
+    return graphs
+
+
+def test_mixed_chain_graphs_match_the_per_edge_exporter():
+    for name, graph in mixed_chain_graphs().items():
+        for fmt in FORMATS:
+            assert export_graph(graph, fmt).content == per_edge_export(graph, fmt), (name, fmt)
+
+
+def test_exactly_the_part_pairs_holding_every_symbol_pair_are_rendered_as_grids(monkeypatch):
+    # A pair of equal squares repeats keys, and no two consecutive shift
+    # squares are orthogonal; every other consecutive pair is a grid.
+    grid_tails = []
+    original = molsnet.export._grid_run
+
+    def spy(tails, heads, pair_sep, line_sep):
+        grid_tails.append(tails[0])
+        return original(tails, heads, pair_sep, line_sep)
+    monkeypatch.setattr(molsnet.export, "_grid_run", spy)
+    expected = {"h1 h1 h2 h3 h3, order 5": ["B1", "C1"], "h1 h1 h2 h3 h3, order 7": ["B1", "C1"],
+                "h1 h1 h2 h3 h3, order 11": ["B1", "C1"],
+                "additive family, order 7": ["A1", "B1", "C1", "D1", "E1"],
+                "shift family, order 6": [], "order 1": ["A1"]}
+    for name, graph in mixed_chain_graphs().items():
+        for fmt in FORMATS:
+            grid_tails.clear()
+            export_graph(graph, fmt)
+            assert grid_tails == expected[name], (name, fmt)
+
+
+def test_the_per_edge_exporter_makes_no_grid_decision(monkeypatch):
+    graph = mixed_chain_graphs()["additive family, order 7"]
+    expected = {fmt: export_graph(graph, fmt).content for fmt in FORMATS}
+
+    def refuse(*args):
+        raise AssertionError("the reference must not reach the export's runs")
+    monkeypatch.setattr(molsnet.export, "_edge_runs", refuse)
+    monkeypatch.setattr(molsnet.export, "_grid_run", refuse)
+    for fmt in FORMATS:
+        assert per_edge_export(graph, fmt) == expected[fmt]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

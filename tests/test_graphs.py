@@ -40,6 +40,12 @@ class TestPartLabels:
         assert vertex_name((0, 1)) == "A1"
         assert vertex_name((2, 10)) == "C10"
 
+    def test_labels_are_derived_once_and_negative_indices_always_fail(self):
+        assert part_label(703) is part_label(703)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+                part_label(-1)
+
 
 class TestBuildPartiteGraph:
     def test_order_4_triple_graph_shape(self, family4):

@@ -12,8 +12,8 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, enumerate_set_orthogonali
                      is_t_orthogonal, make_additive_square, make_mols_family,
                      make_multiplicative_square, make_turan_graph, superimpose, turan_edge_count,
                      verify_set_orthogonality)
-from molsnet.orthogonality import (OrthogonalityReport, _cover_pairs, _flat_symbols, _prefix_walk,
-                                   _runs, subset_rank)
+from molsnet.orthogonality import (OrthogonalityReport, _collision_report, _cover_pairs,
+                                   _flat_symbols, _prefix_walk, _runs, subset_rank)
 from reference import distinct_slope_report, per_subset_verdicts, shift_family_report
 
 # Every (order, method) up to order 13 whose family has at least two squares.
@@ -117,6 +117,13 @@ class TestIsTOrthogonal:
         for a, b in itertools.combinations(range(4), 2):
             report = is_t_orthogonal(superimpose([family4[a], family4[b]]))
             assert not report.is_orthogonal
+
+    def test_certificate_starts_at_the_first_repeated_key(self):
+        # Keys x, y, y, x at positions 1, 4, 5 and 8 of a 3 x 3 grid: x
+        # repeats first, so the cells are positions 1 and 8, not 4 and 5;
+        # the other five cells are unique, so 7 tuples are distinct.
+        report = _collision_report([7, 9, 9, 7], 3, [1, 4, 5, 8])
+        assert report == OrthogonalityReport(False, 7, ((1, 2), (3, 3)))
 
     def test_verdict_ignores_square_order(self, family5):
         chosen = [family5[0], family5[1], family5[3]]
