@@ -120,12 +120,13 @@ def test_every_small_complete_multipartite_graph_matches_the_per_edge_exporter()
 def mixed_chain_graphs():
     """Chain graphs named by their kind: stacks whose consecutive squares are
     orthogonal, equal or neither, so their part pairs take both run kinds."""
-    graphs = {}
+    stacks = {}
     for n in (5, 7, 11):
         h1, h2, h3 = make_mols_family(n).squares[:3]
-        graphs[f"h1 h1 h2 h3 h3, order {n}"] = build_partite_graph(superimpose([h1, h1, h2, h3, h3]))
-    graphs["additive family, order 7"] = build_partite_graph(superimpose(list(make_mols_family(7).squares)))
-    graphs["shift family, order 6"] = build_partite_graph(superimpose(list(make_mols_family(6, "shift").squares)))
+        stacks[f"h1 h1 h2 h3 h3, order {n}"] = [h1, h1, h2, h3, h3]
+    stacks["additive family, order 7"] = make_mols_family(7).squares
+    stacks["shift family, order 6"] = make_mols_family(6, "shift").squares
+    graphs = {name: build_partite_graph(superimpose(list(squares))) for name, squares in stacks.items()}
     graphs["order 1"] = PartiteGraph(CHAIN, (1, 1), TupleArray(1, 2, (((1, 1),),)))
     return graphs
 
