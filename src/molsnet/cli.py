@@ -4,7 +4,8 @@ Subcommands: gen, verify, graph, stats, turan, channels, check.  Exit
 status is 0 for success, 1 for domain errors (no construction, failed
 verification, bad file content, out-of-range --t or square index, unknown
 vertex) and OS errors, 2 for usage errors.  Any other exception is a bug
-and propagates.
+and propagates.  A command holds each square of its input file once, as the
+square's row-major symbols, which are also its column of any stack built.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ def _load_set(path: str) -> MolsSet:
     return parse_square_file(decode_square_file(Path(path).read_bytes()))
 
 
-def _load_squares(path: str) -> list[LatinSquare]:
-    """The squares of a square file, in a list that is their only owner."""
-    return list(_load_set(path).squares)
-
-
 def _write_out(text: str, out: str | None) -> None:
     """Print text, or replace the file `out` with it in one step.
 
@@ -81,31 +77,15 @@ def _write_out(text: str, out: str | None) -> None:
         raise
 
 
-def _first_t_indices(squares: list[LatinSquare], t: int) -> list[int]:
+def _first_t_indices(squares: tuple[LatinSquare, ...], t: int) -> list[int]:
     if t > len(squares):
         raise InputError(f"file holds {len(squares)} squares; cannot take the first {t}")
     return list(range(1, t + 1))
 
 
-def _handed_over(squares: list[LatinSquare]):
-    """Yield the entries of squares in order, each slot set to None as it is
-    yielded, so the list stops holding a square once it is handed over."""
-    for k in range(len(squares)):
-        square, squares[k] = squares[k], None
-        yield square
-
-
-def _build_chain_graph(squares: list[LatinSquare], indices: list[int]) -> PartiteGraph:
-    """Stack squares[i - 1] for i in indices into a chain graph; empties squares.
-
-    The unselected squares are dropped first and each selected one once its
-    column is built, so when the list is their only owner (_load_squares)
-    the rows are freed while the stack is built.  At order 101 with t = 100
-    the rows and the columns take about 8 MB each.
-    """
-    selected = [squares[i - 1] for i in indices]
-    squares.clear()
-    return build_partite_graph(superimpose(_handed_over(selected)))
+def _build_chain_graph(squares: tuple[LatinSquare, ...], indices: list[int]) -> PartiteGraph:
+    """Stack squares[i - 1] for i in indices into a chain graph."""
+    return build_partite_graph(superimpose(squares[i - 1] for i in indices))
 
 
 def cmd_gen(args) -> int:
@@ -149,7 +129,7 @@ def cmd_verify(args) -> int:
     return 0 if report.all_orthogonal else 1
 
 
-def _parse_selection(args, squares: list[LatinSquare]) -> list[int]:
+def _parse_selection(args, squares: tuple[LatinSquare, ...]) -> list[int]:
     if args.squares is None:
         return _first_t_indices(squares, args.t)
     try:
@@ -165,14 +145,14 @@ def _parse_selection(args, squares: list[LatinSquare]) -> list[int]:
 
 
 def cmd_graph(args) -> int:
-    squares = _load_squares(args.infile)
+    squares = _load_set(args.infile).squares
     graph = _build_chain_graph(squares, _parse_selection(args, squares))
     _write_out(export_graph(graph, args.format).content, args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    squares = _load_squares(args.infile)
+    squares = _load_set(args.infile).squares
     graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     mult = edge_multiplicity(graph)
     stats = _chain_stats(graph, simple=not mult.duplicated_edges)
@@ -225,7 +205,7 @@ def _parse_vertex(text: str) -> tuple[int, int]:
 
 
 def cmd_channels(args) -> int:
-    squares = _load_squares(args.infile)
+    squares = _load_set(args.infile).squares
     vertex = _parse_vertex(args.vertex)
     graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     chains = channels_through(graph, vertex)

@@ -18,12 +18,14 @@ from .squares import EXTERNAL, LatinSquare, MolsSet
 
 def serialize_square_file(mols: MolsSet) -> str:
     """Render a set in the text format; inverse of parse_square_file."""
-    spell = [str(s) for s in range(mols.order + 1)]
-    lines = [f"{mols.order} {len(mols.squares)}"]
+    n = mols.order
+    spell = [str(s) for s in range(n + 1)]
+    lines = [f"{n} {len(mols.squares)}"]
     for position, square in enumerate(mols.squares):
         if position:
             lines.append("")
-        lines.extend(" ".join(map(spell.__getitem__, row)) for row in square.cells)
+        words = list(map(spell.__getitem__, square.symbols))
+        lines.extend(" ".join(words[k:k + n]) for k in range(0, n * n, n))
     return "\n".join(lines) + "\n"
 
 
@@ -91,8 +93,8 @@ def parse_square_file(text: str) -> MolsSet:
                 raise SquareFileError(f"expected a blank line before block {block}",
                                       line=cursor + 1)
             cursor += 1
-        rows = []
-        for _ in range(order):
+        flat = []                  # the block's symbols, row-major
+        for row in range(order):
             if cursor >= len(lines):
                 raise SquareFileError(
                     f"block {block} ends early: expected {order} rows",
@@ -108,12 +110,12 @@ def parse_square_file(text: str) -> MolsSet:
                 # Built only now, so its size is bounded by the input, not the header.
                 symbols = {str(s): s for s in range(1, order + 1)}
             try:
-                # Through a list, so the row tuple is allocated at its final size.
-                rows.append(tuple(list(map(symbols.__getitem__, tokens))))
+                flat += map(symbols.__getitem__, tokens)
             except KeyError:
-                rows.append(_convert_row(tokens, order, line_no))
+                del flat[row * order:]
+                flat += _convert_row(tokens, order, line_no)
             cursor += 1
-        squares.append(LatinSquare(order, tuple(rows), EXTERNAL))
+        squares.append(LatinSquare._of_symbols(order, tuple(flat), EXTERNAL))
     while cursor < len(lines):
         if lines[cursor].strip():
             raise SquareFileError("unexpected content after the final block", line=cursor + 1)

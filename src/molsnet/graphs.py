@@ -93,12 +93,14 @@ class PartiteGraph:
 
     def sorted_edges(self) -> Iterator[Edge]:
         """Every edge once per occurrence, ascending, so parallel edges come
-        out as adjacent runs.  A chain graph's edges are decoded from
-        `sorted_edge_keys`, which the exports read too; the reports count
-        columns."""
+        out as adjacent runs: the one definition of the edge order.  A chain
+        graph's edges (c, u) -> (c+1, v) are decoded from their keys
+        u * (n+1) + v, sorted per part pair c, as stacked keys sort as their
+        symbol pairs do; the reports count columns."""
         if self.array is not None:
             base = self.array.order + 1
-            for c, keys in enumerate(self.sorted_edge_keys()):
+            for c, keys in enumerate(self._edge_keys()):
+                keys.sort()
                 for key in keys:
                     u, v = divmod(key, base)
                     yield (c, u), (c + 1, v)
@@ -107,14 +109,6 @@ class PartiteGraph:
             for q in range(p + 1, self.num_parts):
                 for v in range(1, self.part_sizes[q] + 1):
                     yield (p, u), (q, v)
-
-    def sorted_edge_keys(self) -> Iterator[list[int]]:
-        """Per part pair c of a chain graph, the keys u * (n+1) + v of its
-        edges (c, u) -> (c+1, v), ascending: stacked keys sort as their
-        symbol pairs do, so this is the one definition of the edge order."""
-        for keys in self._edge_keys():
-            keys.sort()
-            yield keys
 
     def _edge_keys(self) -> Iterator[list[int]]:
         """Per part pair c of a chain graph, the keys of its edges in cell order."""

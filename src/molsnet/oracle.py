@@ -51,9 +51,10 @@ def enumerate_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport
         raise ValueError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     cells = [(i, j) for i in range(n) for j in range(n)]
+    grids = [square.cells for square in mols.squares]
     failures = []
     for combo in itertools.combinations(range(size), t):
-        picked = [mols.squares[k].cells for k in combo]
+        picked = [grids[k] for k in combo]
         repeated = [False] * len(cells)
         first = None
         for a in range(len(cells)):
@@ -160,7 +161,7 @@ def exhaustive_mols_search(n: int, count: int, t: int,
         raise ValueError(f"candidate squares must all have order {n}")
     if count > len(pool):
         return SearchResult(False, None)
-    flats = [tuple(x for row in square.cells for x in row) for square in pool]
+    flats = [square.symbols for square in pool]
     cells = n * n
     chosen: list[int] = []
 

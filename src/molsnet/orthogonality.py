@@ -113,30 +113,16 @@ def stacked_keys(keys: Sequence[int], column: Column, n: int) -> list[int]:
     return list(map(add, map(mul, keys, itertools.repeat(n + 1)), column))
 
 
-def _flat_symbols(square: LatinSquare) -> Column:
-    """A square's symbols in row-major order: its column of a stack.
-
-    The rows are copied into a list of the final length, so the column is
-    not grown by reallocation.
-    """
-    n = square.order
-    flat = [0] * (n * n)
-    for start, row in zip(range(0, n * n, n), square.cells):
-        flat[start:start + n] = row
-    return tuple(flat)
-
-
 def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
-    squares is read once, in order, and each square is let go once its
-    column is built, so squares that only the iterable holds, such as those
-    a generator hands over, are freed during the stacking.
+    squares is read once, in order.  Each square's row-major symbols are
+    its column of the stack as they are, without a copy.
     """
     orders, columns = set(), []
     for square in squares:
         orders.add(square.order)
-        columns.append(_flat_symbols(square))
+        columns.append(square.symbols)
     if len(columns) < 2:
         raise InputError(f"need at least 2 squares to superimpose, got {len(columns)}")
     if len(orders) != 1:
@@ -350,7 +336,7 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     if not 2 <= t <= size:
         raise InputError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
-    flat = [_flat_symbols(square) for square in mols.squares]
+    flat = [square.symbols for square in mols.squares]
     covered, orthogonal_pairs = _cover_pairs(flat, n, t)
     failures = () if covered else tuple(_prefix_walk(flat, n, t, orthogonal_pairs))
     return SetOrthogonalityReport(n, t, size, failures)

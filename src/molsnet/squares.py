@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from typing import Sequence
 
 from .errors import ConstructionError, NotLatinError
 
@@ -35,10 +36,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatinSquare:
     """An n x n grid intended to hold each of 1..n once per row and column.
 
+    Stored as one row-major tuple of its n^2 symbols, so symbols[k] is the
+    symbol in cell k // n + 1, k % n + 1; that tuple is also the square's
+    column of a stack (superimpose).  The rows are derived on demand.
     The constructor checks shape only, one len per row at C speed, so that
     broken grids can still be built and handed to validate_latin for a
     diagnosis.  provenance records how the square was made and is ignored
@@ -46,14 +50,31 @@ class LatinSquare:
     """
 
     order: int
-    cells: Grid
+    symbols: Row
     provenance: str = field(default=EXTERNAL, compare=False)
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be at least 1, got {self.order}")
-        if len(self.cells) != self.order or any(map(self.order.__ne__, map(len, self.cells))):
-            raise ValueError(f"cells must form a {self.order}x{self.order} grid")
+    def __init__(self, order: int, cells: Sequence[Sequence[int]], provenance: str = EXTERNAL):
+        if order < 1:
+            raise ValueError(f"order must be at least 1, got {order}")
+        if len(cells) != order or any(map(order.__ne__, map(len, cells))):
+            raise ValueError(f"cells must form a {order}x{order} grid")
+        self._set(order, tuple(chain.from_iterable(cells)), provenance)
+
+    @classmethod
+    def _of_symbols(cls, order: int, symbols: Row, provenance: str) -> LatinSquare:
+        """A square from its row-major symbols, for the package's own builders."""
+        square = cls.__new__(cls)
+        square._set(order, symbols, provenance)
+        return square
+
+    def _set(self, order: int, symbols: Row, provenance: str) -> None:
+        for name, value in (("order", order), ("symbols", symbols), ("provenance", provenance)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def cells(self) -> Grid:
+        n, symbols = self.order, self.symbols
+        return tuple(symbols[k:k + n] for k in range(0, n * n, n))
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,7 @@ def _lanes_are_permutations(square: LatinSquare) -> bool:
     """Whether every lane deletes all of bytes 1..n; False if a symbol is no byte."""
     n = square.order
     try:
-        flat = b"".join(map(bytes, square.cells))
+        flat = bytes(square.symbols)
         full = bytes(range(1, n + 1))
     except (TypeError, ValueError):
         return False
@@ -104,10 +125,10 @@ def _lanes_are_permutations(square: LatinSquare) -> bool:
 def _count_violations(square: LatinSquare) -> ValidationReport:
     """validate_latin's diagnosis: only a lane that is not a permutation of
     1..n has its symbols counted."""
-    n = square.order
+    n, cells = square.order, square.cells
     symbols = set(range(1, n + 1))
     violations = []
-    for axis, lanes in (("row", square.cells), ("column", zip(*square.cells))):
+    for axis, lanes in (("row", cells), ("column", zip(*cells))):
         for index, lane in enumerate(lanes, start=1):
             if set(lane) != symbols:
                 counts = Counter(lane)
@@ -163,17 +184,18 @@ def make_multiplicative_square(n: int) -> LatinSquare:
     if not is_prime(n + 1):
         raise ConstructionError(f"multiplicative square needs {n}+1 prime; {n + 1} is not")
     p = n + 1
-    cells = tuple(tuple(i * j % p for j in range(1, n + 1)) for i in range(1, n + 1))
-    return LatinSquare(n, cells, "multiplicative")
+    symbols = tuple(i * j % p for i in range(1, n + 1) for j in range(1, n + 1))
+    return LatinSquare._of_symbols(n, symbols, "multiplicative")
 
 
 def apply_row_shift(square: LatinSquare, k: int) -> LatinSquare:
-    """Cycle rows upward by k: output row i is input row ((i-1+k) mod n)+1."""
+    """Cycle rows upward by k: output row i is input row ((i-1+k) mod n)+1,
+    which rotates the row-major symbols left by k rows."""
     n = square.order
     if not 0 <= k < n:
         raise ValueError(f"shift must be in 0..{n - 1}, got {k}")
-    cells = tuple(square.cells[(i + k) % n] for i in range(n))
-    return LatinSquare(n, cells, f"shifted(k={k})")
+    symbols = square.symbols
+    return LatinSquare._of_symbols(n, symbols[k * n:] + symbols[:k * n], f"shifted(k={k})")
 
 
 def make_additive_square(n: int, h: int) -> LatinSquare:
@@ -190,8 +212,10 @@ def make_additive_square(n: int, h: int) -> LatinSquare:
         raise ConstructionError(f"slope must be in 1..{n - 1}, got {h}")
     doubled = tuple(h * j % n + 1 for j in range(1, n + 1)) * 2
     step = pow(h, -1, n)
-    cells = tuple(doubled[start:start + n] for start in (i * step % n for i in range(n)))
-    return LatinSquare(n, cells, f"additive(h={h})")
+    symbols = []
+    for start in (i * step % n for i in range(n)):
+        symbols += doubled[start:start + n]
+    return LatinSquare._of_symbols(n, tuple(symbols), f"additive(h={h})")
 
 
 def make_mols_family(n: int, method: str = "auto") -> MolsSet:

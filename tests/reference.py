@@ -86,9 +86,9 @@ def shift_family_report(order, t):
 
 def count_latin_violations(square):
     """The `ValidationReport` of a square, from a per-symbol count of every lane."""
-    n = square.order
-    lanes = [("row", i + 1, square.cells[i]) for i in range(n)]
-    lanes += [("column", j + 1, tuple(square.cells[i][j] for i in range(n))) for j in range(n)]
+    n, cells = square.order, square.cells
+    lanes = [("row", i + 1, cells[i]) for i in range(n)]
+    lanes += [("column", j + 1, tuple(cells[i][j] for i in range(n))) for j in range(n)]
     violations = []
     for axis, index, lane in lanes:
         counts = Counter(lane)

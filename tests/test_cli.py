@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import weakref
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -13,8 +12,8 @@ import molsnet.graphs
 import molsnet.orthogonality
 
 from golden import ORDER4_SQUARE_FILE
-from molsnet import (InputError, MolsSet, build_partite_graph, channels_through,
-                     make_mols_family, make_turan_graph, parse_square_file,
+from molsnet import (InputError, LatinSquare, MolsSet, build_partite_graph,
+                     channels_through, make_mols_family, make_turan_graph, parse_square_file,
                      serialize_square_file, superimpose, turan_edge_count,
                      verify_set_orthogonality)
 from molsnet.cli import main
@@ -332,50 +331,42 @@ class TestChannels:
         assert "usage error" in capsys.readouterr().err
 
 
-class TestChainGraphStacking:
-    """graph, stats and channels hand the parsed squares over to the stacker,
-    which frees each one once its column is built."""
+class TestSquaresStayFlat:
+    """A square is its row-major symbols tuple, which is also its column of
+    a stack, so no command on valid files derives a square's rows."""
 
-    @pytest.mark.parametrize("argv", [
-        ["graph", "--t", "4"],
-        ["stats", "--t", "4"],
-        ["channels", "--t", "4", "--vertex", "A:1"],
-    ])
-    def test_each_square_is_freed_once_stacked(self, argv, f5_file, monkeypatch, capsys):
-        refs = []
-        alive = []
-        load_squares = molsnet.cli._load_squares
-        flat_symbols = molsnet.orthogonality._flat_symbols
-
-        def load(path):
-            squares = load_squares(path)
-            refs.extend(weakref.ref(square) for square in squares)
-            return squares
+    def test_commands_on_valid_files_never_derive_rows(self, f4_file, f5_file, tmp_path,
+                                                       monkeypatch, capsys):
+        derived = []
+        cells = LatinSquare.cells
 
         def spy(square):
-            alive.append([ref() is not None for ref in refs])
-            return flat_symbols(square)
+            derived.append(square)
+            return cells.fget(square)
 
-        monkeypatch.setattr(molsnet.cli, "_load_squares", load)
-        monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
-        assert main(argv + ["--in", f5_file]) == 0
-        assert alive == [[j >= k for j in range(4)] for k in range(4)]
+        monkeypatch.setattr(LatinSquare, "cells", property(spy))
+        f7_file = str(tmp_path / "f7.txt")
+        commands = [
+            (["gen", "--order", "7", "--out", f7_file], 0),
+            (["gen", "--order", "6", "--method", "shift"], 0),
+            (["verify", "--t", "3", "--in", f5_file], 0),
+            (["verify", "--t", "2", "--in", f4_file], 1),
+            (["graph", "--t", "4", "--in", f5_file, "--format", "json"], 0),
+            (["graph", "--t", "2", "--in", f7_file, "--squares", "5,3", "--format", "dot"], 0),
+            (["graph", "--t", "2", "--in", f4_file], 1),
+            (["stats", "--t", "3", "--in", f4_file], 0),
+            (["stats", "--t", "6", "--in", f7_file], 0),
+            (["channels", "--t", "4", "--in", f5_file, "--vertex", "A:1"], 0),
+        ]
+        assert [main(argv) for argv, _ in commands] == [code for _, code in commands]
+        assert derived == []
+        capsys.readouterr()
 
-    def test_unselected_squares_are_freed_before_stacking(self, f5_file, monkeypatch):
-        squares = molsnet.cli._load_squares(f5_file)
-        refs = [weakref.ref(square) for square in squares]
-        alive = []
-        flat_symbols = molsnet.orthogonality._flat_symbols
-
-        def spy(square):
-            alive.append([ref() is not None for ref in refs])
-            return flat_symbols(square)
-
-        monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
+    def test_the_stack_is_the_selected_squares(self, f5_file):
+        squares = molsnet.cli._load_set(f5_file).squares
         graph = molsnet.cli._build_chain_graph(squares, [4, 2])
-        assert alive == [[False, True, False, True], [False, True, False, False]]
-        assert squares == []
-        monkeypatch.undo()
+        assert graph.array.columns[0] is squares[3].symbols
+        assert graph.array.columns[1] is squares[1].symbols
         family = make_mols_family(5)
         assert graph.array == superimpose([family[3], family[1]])
 

@@ -25,6 +25,13 @@ class TestSerialize:
 
 
 class TestParse:
+    @pytest.mark.parametrize("n,method", [(7, "additive"), (10, "shift"), (101, "additive")])
+    def test_parsed_squares_equal_the_generated_ones(self, n, method):
+        family = make_mols_family(n, method)
+        parsed = parse_square_file(serialize_square_file(family))
+        assert parsed.squares == family.squares
+        assert all(type(square.symbols) is tuple for square in parsed)
+
     def test_round_trip_equality(self, family4, family5):
         for family in (family4, family5):
             parsed = parse_square_file(serialize_square_file(family))

@@ -1,6 +1,5 @@
 import itertools
 import random
-import weakref
 from collections import Counter
 from math import comb
 
@@ -13,7 +12,7 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, enumerate_set_orthogonali
                      make_multiplicative_square, make_turan_graph, superimpose, turan_edge_count,
                      verify_set_orthogonality)
 from molsnet.orthogonality import (OrthogonalityReport, _collision_report, _cover_pairs,
-                                   _flat_symbols, _prefix_walk, _runs, subset_rank)
+                                   _prefix_walk, _runs, subset_rank)
 from reference import distinct_slope_report, per_subset_verdicts, shift_family_report
 
 # Every (order, method) up to order 13 whose family has at least two squares.
@@ -51,28 +50,10 @@ class TestSuperimpose:
                 x = square.cells[i - 1][j - 1]
                 assert array.tuple_at(i, j) == (x, x)
 
-    def test_consume_frees_each_square_once_its_column_is_built(self, monkeypatch):
-        squares = list(make_mols_family(7).squares)
-        refs = [weakref.ref(square) for square in squares]
-        alive = []
-        flat_symbols = molsnet.orthogonality._flat_symbols
-
-        def spy(square):
-            alive.append([ref() is not None for ref in refs])
-            return flat_symbols(square)
-
-        def handed_over():
-            # The list lets go of each square as it is yielded.
-            for k in range(len(squares)):
-                square, squares[k] = squares[k], None
-                yield square
-
-        monkeypatch.setattr(molsnet.orthogonality, "_flat_symbols", spy)
-        array = superimpose(handed_over())
-        assert alive == [[j >= k for j in range(6)] for k in range(6)]
-        assert squares == [None] * 6
-        monkeypatch.undo()
-        assert array == superimpose(list(make_mols_family(7).squares))
+    def test_each_column_is_its_square_s_symbols(self):
+        squares = make_mols_family(7).squares
+        for stacked in (superimpose(squares), superimpose(iter(squares))):
+            assert all(stacked.columns[k] is squares[k].symbols for k in range(len(squares)))
 
     def test_without_consume_the_list_is_left_as_given(self, family5):
         squares = list(family5.squares)
@@ -256,19 +237,15 @@ def _key_passes(monkeypatch):
     return passes
 
 
-def _pair_passes(monkeypatch):
-    """Count the key passes of each square pair (a, b) in verify: the
-    passes that add column b to square a's column, scaled once per a."""
-    passes, columns, first_of, held = Counter(), {}, {}, []
+def _pair_passes(monkeypatch, mols):
+    """Count the key passes of each square pair (a, b) in verify of mols: the
+    passes that add column b to square a's column, scaled once per a.  A
+    square's column is its symbols tuple, so the squares of mols must be
+    distinct objects."""
+    passes, first_of, held = Counter(), {}, []
+    columns = {id(square.symbols): k for k, square in enumerate(mols.squares, start=1)}
     orthogonality = molsnet.orthogonality
-    flat_original, scaled_original = orthogonality._flat_symbols, orthogonality._scaled
-    appended_original = orthogonality._appended
-
-    def flat_spy(square):
-        column = flat_original(square)
-        held.append(column)                # keeps ids from being reused
-        columns[id(column)] = len(columns) + 1
-        return column
+    scaled_original, appended_original = orthogonality._scaled, orthogonality._appended
 
     def scaled_spy(keys, n):
         scaled = scaled_original(keys, n)
@@ -281,7 +258,6 @@ def _pair_passes(monkeypatch):
         if id(scaled) in first_of:
             passes[first_of[id(scaled)], columns[id(column)]] += 1
         return appended_original(scaled, column)
-    monkeypatch.setattr(orthogonality, "_flat_symbols", flat_spy)
     monkeypatch.setattr(orthogonality, "_scaled", scaled_spy)
     monkeypatch.setattr(orthogonality, "_appended", appended_spy)
     return passes
@@ -310,7 +286,7 @@ class TestPairCover:
     @pytest.mark.parametrize("n", [4, 6, 10, 12, 16])
     def test_shift_sets_take_at_most_one_pass_more_than_the_walk(self, n, monkeypatch):
         family = make_mols_family(n, "shift")
-        flat = [_flat_symbols(square) for square in family.squares]
+        flat = [square.symbols for square in family.squares]
         passes = _key_passes(monkeypatch)
         for t in range(2, min(len(family), 5) + 1):
             passes.clear()
@@ -327,16 +303,19 @@ class TestPairCover:
         # The first failing pair of the cover then comes after pairs that
         # already passed, and the walk must settle those without a pass: only
         # the failing pair is tested twice, by the cover and by the walk.
+        # Each copy is an equal square of its own, so _pair_passes tells
+        # the two positions apart.
         base = list(make_mols_family(n).squares)
         first = base[0]
         shifted = LatinSquare(n, first.cells[1:] + first.cells[:1])
         settled = 0
         for source, position in itertools.product(range(len(base)), range(len(base) + 1)):
-            mols = MolsSet(n, tuple(base[:position] + [base[source]] + base[position:] + [shifted]))
-            flat = [_flat_symbols(square) for square in mols.squares]
+            copy = LatinSquare(n, base[source].cells)
+            mols = MolsSet(n, tuple(base[:position] + [copy] + base[position:] + [shifted]))
+            flat = [square.symbols for square in mols.squares]
             for t in range(2, len(flat) + 1):
                 covered, passed = _cover_pairs(flat, n, t)
-                passes = _pair_passes(monkeypatch)
+                passes = _pair_passes(monkeypatch, mols)
                 report = verify_set_orthogonality(mols, t)
                 monkeypatch.undo()
                 assert report == enumerate_set_orthogonality(mols, t)

@@ -277,3 +277,29 @@ class TestConstructorChecks:
         built = make_multiplicative_square(4)
         copy = LatinSquare(4, built.cells, "elsewhere")
         assert built == copy
+
+
+class TestRowMajorSymbols:
+    """A square stores its n^2 symbols as one row-major tuple; its rows are
+    derived on read."""
+
+    def test_only_order_symbols_and_provenance_are_stored(self):
+        square = LatinSquare(3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "given")
+        assert vars(square) == {"order": 3, "symbols": (1, 2, 3, 2, 3, 1, 3, 1, 2),
+                                "provenance": "given"}
+        assert repr(square) == ("LatinSquare(order=3, symbols=(1, 2, 3, 2, 3, 1, 3, 1, 2), "
+                                "provenance='given')")
+
+    def test_cells_are_a_tuple_of_row_tuples(self):
+        square = LatinSquare(3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
+        assert square.cells == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+        assert LatinSquare(3, square.cells) == square
+
+    @pytest.mark.parametrize("n,method", [(5, "additive"), (7, "additive"), (4, "shift"),
+                                          (6, "shift"), (12, "shift")])
+    def test_builders_agree_with_the_public_constructor(self, n, method):
+        for square in make_mols_family(n, method):
+            rebuilt = LatinSquare(n, square.cells)
+            assert rebuilt == square and hash(rebuilt) == hash(square)
+            assert rebuilt.symbols == square.symbols
+            assert type(square.symbols) is tuple and len(square.symbols) == n * n
