@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from math import comb
 from operator import add, gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
@@ -255,6 +256,28 @@ def _runs(size: int, parts: int) -> Iterator[range]:
         start = stop
 
 
+def _row_bytes(column: Column, n: int) -> list[bytes]:
+    """A square's n rows as byte strings: the pair test's set-up, once per square."""
+    symbols = bytes(column)
+    return [symbols[k:k + n] for k in range(0, n * n, n)]
+
+
+def _orthogonal_rows(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes) -> bool:
+    """Whether two Latin squares, given by their rows, hold all n^2 symbol pairs.
+
+    full is bytes 1..n.  Row r of each square is a permutation of 1..n, so
+    full.translate(maketrans(A_r, B_r)) spells B_r o A_r^-1 (1..n): its byte
+    s-1 is the symbol of B in the cell of row r where A holds s.  Joined
+    over the rows, column s-1 (stride n) holds the symbols of B in the n
+    cells where A holds s, and the pair is orthogonal exactly when every
+    column holds all of 1..n.
+    """
+    n = len(full)
+    joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
+    return not any(map(full.translate, itertools.repeat(None),
+                       (joined[s::n] for s in range(n))))
+
+
 def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tuple[int, int]]]:
     """Test the pairs within t-1 balanced runs of the squares, in index order.
 
@@ -262,13 +285,28 @@ def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tupl
     orthogonal, so is every t-subset; by Turan's theorem no smaller set of
     pairs meets every t-subset.  Returns whether every pair passed, and the
     pairs that passed before the first failing one.
+
+    Up to order 255 a pair is decided from its squares' rows
+    (_orthogonal_rows), each square's built on its first pair and kept for
+    the call.  Bytes cannot hold larger symbols, so above that the pair's
+    n^2 stacked keys must be distinct, the first square's keys scaled once.
     """
+    if n <= 255:
+        full = bytes(range(1, n + 1))
+        rows = cache(lambda k: _row_bytes(flat[k - 1], n))
+
+        def orthogonal(a: int, b: int) -> bool:
+            return _orthogonal_rows(rows(a), rows(b), full)
+    else:
+        scaled = lru_cache(maxsize=1)(lambda a: _scaled(flat[a - 1], n))
+
+        def orthogonal(a: int, b: int) -> bool:
+            return len(set(_appended(scaled(a), flat[b - 1]))) == n * n
     passed = set()
     for run in _runs(len(flat), t - 1):
         for a in run[:-1]:
-            scaled = _scaled(flat[a - 1], n)
             for b in range(a + 1, run.stop):
-                if len(set(_appended(scaled, flat[b - 1]))) < n * n:
+                if not orthogonal(a, b):
                     return False, passed
                 passed.add((a, b))
     return True, passed

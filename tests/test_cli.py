@@ -206,11 +206,12 @@ class TestVerifyOutputBound:
                                                                  capsys):
         # C(100, 50), about 1e29 subsets: every pair of the additive family
         # is orthogonal, so only the pairs within 49 balanced runs of the 100
-        # squares are tested: C(100, 2) - turan_edge_count(49, 100) = 53.
+        # squares are tested: C(100, 2) - turan_edge_count(49, 100) = 53,
+        # each from the two squares' rows, with no key pass.
         path = tmp_path / "additive101.txt"
         path.write_text(serialize_square_file(make_mols_family(101)))
         passes = Counter()
-        for name in ("_scaled", "_appended"):
+        for name in ("_row_bytes", "_orthogonal_rows", "_scaled", "_appended"):
             def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
                 passes[_name] += 1
                 return _original(*args)
@@ -220,8 +221,9 @@ class TestVerifyOutputBound:
             f"order 101, 100 squares, t=50: checking {total} subsets",
             _left_out(total, 0, 10_000),
             f"result: all {total} subsets are 50-orthogonal"]
-        assert passes["_appended"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
-        assert passes["_scaled"] <= 53
+        assert passes["_orthogonal_rows"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
+        assert passes["_row_bytes"] == 100
+        assert passes["_scaled"] == passes["_appended"] == 0
 
 
 class TestGraph:

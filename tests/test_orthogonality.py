@@ -226,26 +226,39 @@ class TestVerifySetOrthogonality:
 
 
 def _key_passes(monkeypatch):
-    """Count the key passes of verify_set_orthogonality, one per tested node."""
+    """Count the tests of verify_set_orthogonality, one per tested node: a
+    cover pair is decided by one _orthogonal_rows call up to order 255 and by
+    one key pass above, and every walk node by one key pass."""
     passes = Counter()
-    original = molsnet.orthogonality._appended
-
-    def spy(scaled, column):
-        passes["keys"] += 1
-        return original(scaled, column)
-    monkeypatch.setattr(molsnet.orthogonality, "_appended", spy)
+    for name in ("_orthogonal_rows", "_appended"):
+        def spy(*args, _original=getattr(molsnet.orthogonality, name)):
+            passes["keys"] += 1
+            return _original(*args)
+        monkeypatch.setattr(molsnet.orthogonality, name, spy)
     return passes
 
 
 def _pair_passes(monkeypatch, mols):
-    """Count the key passes of each square pair (a, b) in verify of mols: the
-    passes that add column b to square a's column, scaled once per a.  A
-    square's column is its symbols tuple, so the squares of mols must be
-    distinct objects."""
-    passes, first_of, held = Counter(), {}, []
+    """Count the tests of each square pair (a, b) in verify of mols: the
+    cover's _orthogonal_rows calls on the rows of a and b, and the key passes
+    that add column b to square a's column, scaled once per a.  A square's
+    column is its symbols tuple, so the squares of mols must be distinct
+    objects."""
+    passes, first_of, rows_of, held = Counter(), {}, {}, []
     columns = {id(square.symbols): k for k, square in enumerate(mols.squares, start=1)}
     orthogonality = molsnet.orthogonality
+    rows_original, orthogonal_original = orthogonality._row_bytes, orthogonality._orthogonal_rows
     scaled_original, appended_original = orthogonality._scaled, orthogonality._appended
+
+    def rows_spy(column, n):
+        rows = rows_original(column, n)
+        held.append(rows)
+        rows_of[id(rows)] = columns[id(column)]
+        return rows
+
+    def orthogonal_spy(rows_a, rows_b, full):
+        passes[rows_of[id(rows_a)], rows_of[id(rows_b)]] += 1
+        return orthogonal_original(rows_a, rows_b, full)
 
     def scaled_spy(keys, n):
         scaled = scaled_original(keys, n)
@@ -258,6 +271,8 @@ def _pair_passes(monkeypatch, mols):
         if id(scaled) in first_of:
             passes[first_of[id(scaled)], columns[id(column)]] += 1
         return appended_original(scaled, column)
+    monkeypatch.setattr(orthogonality, "_row_bytes", rows_spy)
+    monkeypatch.setattr(orthogonality, "_orthogonal_rows", orthogonal_spy)
     monkeypatch.setattr(orthogonality, "_scaled", scaled_spy)
     monkeypatch.setattr(orthogonality, "_appended", appended_spy)
     return passes
@@ -295,6 +310,21 @@ class TestPairCover:
             walked = _prefix_walk(flat, n, t, set())
             assert verify_passes <= passes["keys"] + 1
             assert report.failures == tuple(walked)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_a_shift_set_builds_the_rows_of_its_first_pair_only(self, n, monkeypatch):
+        # Every shift pair fails, so the cover stops at (1, 2).
+        family, built = make_mols_family(n, "shift"), []
+        original = molsnet.orthogonality._row_bytes
+
+        def spy(column, order):
+            built.append(column)
+            return original(column, order)
+        monkeypatch.setattr(molsnet.orthogonality, "_row_bytes", spy)
+        for t in (2, 3):
+            built.clear()
+            verify_set_orthogonality(family, t)
+            assert built == [family.squares[0].symbols, family.squares[1].symbols]
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_duplicates_anywhere_hand_over_without_repeating_a_pair(self, n, monkeypatch):

@@ -16,6 +16,12 @@ square and a shuffled square order, optionally with one square duplicated.
   full-enumeration oracle, also on shift squares drawn with repetition,
   whose failing prefixes fail or settle deeper down; it is invariant under
   isotopy and follows a reordering of the squares.
+- The cover's row-permutation pair test agrees with counting the symbol
+  pairs of two squares on Latin pairs of orders 1-13: family pairs, equal
+  squares, row shifts and transposes, scrambled together or apart; whole
+  reports on sets that mix them agree with the oracle; and both sides of
+  the bytes limit, orders 255, 256 and 257, decide one orthogonal and one
+  failing pair.
 - The three exports equal the per-edge reference exporter byte for byte on
   scrambled stacks, on orthogonal arrays with isolated vertices, and on
   random arrays built as graphs directly, parallel edges included.
@@ -37,10 +43,12 @@ from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError, P
                      SquareFileError, TupleArray, brute_force_distinctness,
                      brute_force_multiplicity, build_partite_graph, edge_multiplicity,
                      enumerate_set_orthogonality, export_graph, graph_stats, is_bipartite,
-                     is_t_orthogonal, make_complete_multipartite, make_mols_family,
-                     parse_square_file, serialize_square_file, superimpose, validate_latin,
-                     verify_set_orthogonality, vertex_name)
+                     is_prime, is_t_orthogonal, make_additive_square, make_complete_multipartite,
+                     make_mols_family, parse_square_file, serialize_square_file, superimpose,
+                     validate_latin, verify_set_orthogonality, vertex_name)
+from molsnet import orthogonality
 from molsnet.files import decode_square_file
+from molsnet.orthogonality import _cover_pairs, _orthogonal_rows, _row_bytes
 from reference import (count_latin_violations, occurrence_report, per_edge_export,
                        per_subset_verdicts)
 
@@ -230,6 +238,111 @@ def test_reordering_squares_permutes_verdicts(data, case):
     original = {v.indices: v.report for v in verify_set_orthogonality(mols, t).verdicts}
     for verdict in verify_set_orthogonality(moved, t).verdicts:
         assert verdict.report == original[tuple(sorted(order[p - 1] + 1 for p in verdict.indices))]
+
+
+def _family_squares(n):
+    """Latin squares of order n, as rows: the additive family when n is a
+    prime above 2 (its squares are pairwise orthogonal), the shift family
+    when n+1 is prime (pairwise not), and the cyclic square otherwise."""
+    if n > 2 and is_prime(n):
+        return [square.cells for square in make_mols_family(n, "additive").squares]
+    if n > 1 and is_prime(n + 1):
+        return [square.cells for square in make_mols_family(n, "shift").squares]
+    return [tuple(tuple((r + c) % n + 1 for c in range(n)) for r in range(n))]
+
+
+@st.composite
+def mixed_latin_squares(draw, max_size):
+    """2..max_size Latin squares of one order 1-13, drawn with repetition
+    from its family squares, a row shift of one of them and its transpose.
+    Each is scrambled by one row and one column permutation, and by its own
+    symbol relabelling; the squares share the permutations, or each takes
+    its own, or each chooses."""
+    n = draw(st.sampled_from(range(1, 14)))
+    family = _family_squares(n)
+    a = draw(st.sampled_from(family))
+    k = draw(st.integers(0, n - 1))
+    pool = family + [a[k:] + a[:k], tuple(zip(*a))]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=max_size))
+    permutation = st.permutations(range(n))
+    shared = (draw(permutation), draw(permutation))
+    mode = draw(st.sampled_from(["shared", "own", "either"]))
+    squares = []
+    for cells in chosen:
+        own = mode == "own" or mode == "either" and draw(st.booleans())
+        rows, columns = (draw(permutation), draw(permutation)) if own else shared
+        relabel = draw(st.permutations(range(1, n + 1)))
+        squares.append(LatinSquare(n, tuple(tuple(relabel[cells[r][c] - 1] for c in columns)
+                                            for r in rows)))
+    return squares
+
+
+def _holds_every_symbol_pair(a, b):
+    return len(set(zip(a.symbols, b.symbols))) == a.order ** 2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mixed_latin_squares(max_size=2))
+def test_row_permutation_pair_test_counts_symbol_pairs(pair):
+    a, b = pair
+    n = a.order
+    assert _orthogonal_rows(_row_bytes(a.symbols, n), _row_bytes(b.symbols, n),
+                            bytes(range(1, n + 1))) == _holds_every_symbol_pair(a, b)
+
+
+@st.composite
+def mixed_pair_sets(draw):
+    """mixed_latin_squares as a MolsSet of 2-5 squares, with a subset size."""
+    squares = draw(mixed_latin_squares(max_size=5))
+    return MolsSet(squares[0].order, tuple(squares)), draw(st.integers(2, len(squares)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mixed_pair_sets())
+def test_verify_of_mixed_pairs_agrees_with_the_oracle(case):
+    mols, t = case
+    assert verify_set_orthogonality(mols, t) == enumerate_set_orthogonality(mols, t)
+
+
+def _xtime(y):
+    """y times 2 in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1."""
+    return (y << 1) ^ (0x11B if y & 0x80 else 0)
+
+
+def _boundary_pair(n):
+    """An orthogonal pair of order n: i + j and i + 2j mod n for odd n,
+    i xor j and i xor 2j in GF(2^8) for n = 256."""
+    if n == 256:
+        a = tuple(tuple((i ^ j) + 1 for j in range(n)) for i in range(n))
+        b = tuple(tuple((i ^ _xtime(j)) + 1 for j in range(n)) for i in range(n))
+        return LatinSquare(n, a), LatinSquare(n, b)
+    if is_prime(n):
+        return make_additive_square(n, 1), make_additive_square(n, 2)
+    return tuple(LatinSquare(n, tuple(tuple((i + h * j) % n + 1 for j in range(n))
+                                      for i in range(n))) for h in (1, 2))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
+    # Bytes hold symbols up to 255: order 255 is decided from rows, orders
+    # 256 and 257 from stacked keys.  Square 3 repeats square 1, so (1, 2)
+    # and (2, 3) are orthogonal and (1, 3) fails with n distinct pairs.
+    a, b = _boundary_pair(n)
+    assert _holds_every_symbol_pair(a, b)
+    mols = MolsSet(n, (a, b, a))
+    flat = [square.symbols for square in mols.squares]
+    by_rows = []
+    monkeypatch.setattr(orthogonality, "_orthogonal_rows",
+                        lambda *args: by_rows.append(args) or _orthogonal_rows(*args))
+    assert _cover_pairs(flat, n, 2) == (False, {(1, 2)})
+    assert len(by_rows) == (2 if n <= 255 else 0)
+    monkeypatch.undo()
+    assert _cover_pairs(flat, n, 3) == (True, {(1, 2)})
+    report = verify_set_orthogonality(mols, 2)
+    assert [v.indices for v in report.failures] == [(1, 3)]
+    assert report.failures[0].report == is_t_orthogonal(superimpose([a, a]))
+    assert report.failures[0].report.distinct_count == n
+    assert verify_set_orthogonality(mols, 3).all_orthogonal
 
 
 def assert_certificate_replays(graph):
