@@ -262,20 +262,50 @@ def _row_bytes(column: Column, n: int) -> list[bytes]:
     return [symbols[k:k + n] for k in range(0, n * n, n)]
 
 
-def _orthogonal_rows(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes) -> bool:
-    """Whether two Latin squares, given by their rows, hold all n^2 symbol pairs.
+def _pair_report(rows_a: Sequence[bytes], rows_b: Sequence[bytes],
+                 full: bytes) -> OrthogonalityReport | None:
+    """The report of two Latin squares given by their rows, or None when they
+    hold all n^2 symbol pairs.
 
     full is bytes 1..n.  Row r of each square is a permutation of 1..n, so
     full.translate(maketrans(A_r, B_r)) spells B_r o A_r^-1 (1..n): its byte
     s-1 is the symbol of B in the cell of row r where A holds s.  Joined
     over the rows, column s-1 (stride n) holds the symbols of B in the n
-    cells where A holds s, and the pair is orthogonal exactly when every
-    column holds all of 1..n.
+    cells where A holds s, one per row in row order.  Deleting a column
+    from full leaves the symbols that pair with s nowhere, so the distinct
+    count is n^2 less all that is left, and the pair is orthogonal exactly
+    when nothing is.  The first cell in row-major order whose symbol of B
+    repeats in its column is the first colliding cell; no earlier row
+    collides, so the next cell of its pair lies in the column's next row
+    that holds that symbol, in the cell of that row where A holds s.
     """
     n = len(full)
     joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
-    return not any(map(full.translate, itertools.repeat(None),
-                       (joined[s::n] for s in range(n))))
+    columns = [joined[s::n] for s in range(n)]
+    missing = sum(map(len, map(full.translate, itertools.repeat(None), columns)))
+    if not missing:
+        return None
+    column_of = [b"", *columns].__getitem__
+    # How often each cell's pair occurs, in row-major order, up to the first repeat.
+    counts = map(bytes.count, map(column_of, itertools.chain(*rows_a)), itertools.chain(*rows_b))
+    first = next(itertools.compress(itertools.count(), map(gt, counts, itertools.repeat(1))))
+    i, j = divmod(first, n)
+    s = rows_a[i][j]
+    k = column_of(s).index(rows_b[i][j], i + 1)
+    return OrthogonalityReport(False, n * n - missing,
+                               ((i + 1, j + 1), (k + 1, rows_a[k].index(s) + 1)))
+
+
+def _pair_failures(flat: Sequence[Column], n: int) -> Iterator[SubsetVerdict]:
+    """The failing pairs of squares up to order 255, in index order, each
+    with its report from the two squares' rows (_pair_report); every
+    square's rows are built once."""
+    full = bytes(range(1, n + 1))
+    rows = [_row_bytes(column, n) for column in flat]
+    for (a, rows_a), (b, rows_b) in itertools.combinations(enumerate(rows, start=1), 2):
+        report = _pair_report(rows_a, rows_b, full)
+        if report is not None:
+            yield SubsetVerdict((a, b), report)
 
 
 def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tuple[int, int]]]:
@@ -287,7 +317,7 @@ def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tupl
     pairs that passed before the first failing one.
 
     Up to order 255 a pair is decided from its squares' rows
-    (_orthogonal_rows), each square's built on its first pair and kept for
+    (_pair_report), each square's built on its first pair and kept for
     the call.  Bytes cannot hold larger symbols, so above that the pair's
     n^2 stacked keys must be distinct, the first square's keys scaled once.
     """
@@ -296,7 +326,7 @@ def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tupl
         rows = cache(lambda k: _row_bytes(flat[k - 1], n))
 
         def orthogonal(a: int, b: int) -> bool:
-            return _orthogonal_rows(rows(a), rows(b), full)
+            return _pair_report(rows(a), rows(b), full) is None
     else:
         scaled = lru_cache(maxsize=1)(lambda a: _scaled(flat[a - 1], n))
 
@@ -368,13 +398,17 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     holds an orthogonal pair has all n^2 tuples distinct, so if they all
     pass, every subset does.  Otherwise the prefix tree of index
     combinations is walked (_prefix_walk), and every node that holds a
-    pair that already passed is settled without testing it.
+    pair that already passed is settled without testing it.  At t = 2 the
+    cover holds every pair, so up to order 255 each pair's whole report
+    comes from its squares' rows (_pair_failures), with no walk.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise InputError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     flat = [square.symbols for square in mols.squares]
+    if t == 2 and n <= 255:
+        return SetOrthogonalityReport(n, t, size, tuple(_pair_failures(flat, n)))
     covered, orthogonal_pairs = _cover_pairs(flat, n, t)
     failures = () if covered else tuple(_prefix_walk(flat, n, t, orthogonal_pairs))
     return SetOrthogonalityReport(n, t, size, failures)

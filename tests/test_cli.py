@@ -211,7 +211,7 @@ class TestVerifyOutputBound:
         path = tmp_path / "additive101.txt"
         path.write_text(serialize_square_file(make_mols_family(101)))
         passes = Counter()
-        for name in ("_row_bytes", "_orthogonal_rows", "_scaled", "_appended"):
+        for name in ("_row_bytes", "_pair_report", "_scaled", "_appended"):
             def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
                 passes[_name] += 1
                 return _original(*args)
@@ -221,7 +221,7 @@ class TestVerifyOutputBound:
             f"order 101, 100 squares, t=50: checking {total} subsets",
             _left_out(total, 0, 10_000),
             f"result: all {total} subsets are 50-orthogonal"]
-        assert passes["_orthogonal_rows"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
+        assert passes["_pair_report"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
         assert passes["_row_bytes"] == 100
         assert passes["_scaled"] == passes["_appended"] == 0
 

@@ -227,10 +227,11 @@ class TestVerifySetOrthogonality:
 
 def _key_passes(monkeypatch):
     """Count the tests of verify_set_orthogonality, one per tested node: a
-    cover pair is decided by one _orthogonal_rows call up to order 255 and by
-    one key pass above, and every walk node by one key pass."""
+    pair, in the cover or at t = 2, is decided by one _pair_report call up to
+    order 255 and by one key pass above, and every walk node by one key
+    pass."""
     passes = Counter()
-    for name in ("_orthogonal_rows", "_appended"):
+    for name in ("_pair_report", "_appended"):
         def spy(*args, _original=getattr(molsnet.orthogonality, name)):
             passes["keys"] += 1
             return _original(*args)
@@ -240,14 +241,14 @@ def _key_passes(monkeypatch):
 
 def _pair_passes(monkeypatch, mols):
     """Count the tests of each square pair (a, b) in verify of mols: the
-    cover's _orthogonal_rows calls on the rows of a and b, and the key passes
+    _pair_report calls on the rows of a and b, and the key passes
     that add column b to square a's column, scaled once per a.  A square's
     column is its symbols tuple, so the squares of mols must be distinct
     objects."""
     passes, first_of, rows_of, held = Counter(), {}, {}, []
     columns = {id(square.symbols): k for k, square in enumerate(mols.squares, start=1)}
     orthogonality = molsnet.orthogonality
-    rows_original, orthogonal_original = orthogonality._row_bytes, orthogonality._orthogonal_rows
+    rows_original, report_original = orthogonality._row_bytes, orthogonality._pair_report
     scaled_original, appended_original = orthogonality._scaled, orthogonality._appended
 
     def rows_spy(column, n):
@@ -256,9 +257,9 @@ def _pair_passes(monkeypatch, mols):
         rows_of[id(rows)] = columns[id(column)]
         return rows
 
-    def orthogonal_spy(rows_a, rows_b, full):
+    def report_spy(rows_a, rows_b, full):
         passes[rows_of[id(rows_a)], rows_of[id(rows_b)]] += 1
-        return orthogonal_original(rows_a, rows_b, full)
+        return report_original(rows_a, rows_b, full)
 
     def scaled_spy(keys, n):
         scaled = scaled_original(keys, n)
@@ -272,7 +273,7 @@ def _pair_passes(monkeypatch, mols):
             passes[first_of[id(scaled)], columns[id(column)]] += 1
         return appended_original(scaled, column)
     monkeypatch.setattr(orthogonality, "_row_bytes", rows_spy)
-    monkeypatch.setattr(orthogonality, "_orthogonal_rows", orthogonal_spy)
+    monkeypatch.setattr(orthogonality, "_pair_report", report_spy)
     monkeypatch.setattr(orthogonality, "_scaled", scaled_spy)
     monkeypatch.setattr(orthogonality, "_appended", appended_spy)
     return passes
@@ -313,7 +314,9 @@ class TestPairCover:
 
     @pytest.mark.parametrize("n", [10, 16])
     def test_a_shift_set_builds_the_rows_of_its_first_pair_only(self, n, monkeypatch):
-        # Every shift pair fails, so the cover stops at (1, 2).
+        # Every shift pair fails, so at t = 3 the cover stops at (1, 2).  At
+        # t = 2 every pair gets its report from rows, so each square's rows
+        # are built once, in order.
         family, built = make_mols_family(n, "shift"), []
         original = molsnet.orthogonality._row_bytes
 
@@ -321,10 +324,28 @@ class TestPairCover:
             built.append(column)
             return original(column, order)
         monkeypatch.setattr(molsnet.orthogonality, "_row_bytes", spy)
-        for t in (2, 3):
-            built.clear()
-            verify_set_orthogonality(family, t)
-            assert built == [family.squares[0].symbols, family.squares[1].symbols]
+        verify_set_orthogonality(family, 3)
+        assert built == [family.squares[0].symbols, family.squares[1].symbols]
+        built.clear()
+        verify_set_orthogonality(family, 2)
+        assert built == [square.symbols for square in family.squares]
+
+    @pytest.mark.parametrize("n,method", [(10, "shift"), (13, "additive"), (28, "shift")])
+    def test_pairs_take_one_row_report_each_and_no_key_pass(self, n, method, monkeypatch):
+        # At t = 2 up to order 255, verify decides each pair once from rows
+        # and never enters the prefix walk, with or without a duplicate.
+        family = list(make_mols_family(n, method).squares)
+        calls = Counter()
+        for name in ("_pair_report", "_scaled", "_appended", "_prefix_walk"):
+            def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(molsnet.orthogonality, name, spy)
+        for squares in (family, family[:3] + family[:1] + family[3:]):
+            calls.clear()
+            report = verify_set_orthogonality(MolsSet(n, tuple(squares)), 2)
+            assert calls == Counter({"_pair_report": comb(len(squares), 2)})
+            assert report.all_orthogonal == (method == "additive" and squares is family)
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_duplicates_anywhere_hand_over_without_repeating_a_pair(self, n, monkeypatch):
@@ -374,13 +395,13 @@ class TestPairCover:
                 assert passes["keys"] <= 59
 
 
-def _scrambled_family(n, seed):
-    """The additive family of order n under one row and one column
-    permutation of every square, a symbol relabelling of each square, and a
-    shuffle of the squares."""
+def _scrambled_family(n, seed, method="additive"):
+    """The family of order n under one row and one column permutation of
+    every square, a symbol relabelling of each square, and a shuffle of the
+    squares."""
     rng = random.Random(seed)
     rows, columns = rng.sample(range(n), n), rng.sample(range(n), n)
-    squares = list(make_mols_family(n).squares)
+    squares = list(make_mols_family(n, method).squares)
     rng.shuffle(squares)
     scrambled = []
     for square in squares:
@@ -413,11 +434,21 @@ class TestShiftReference:
             assert shift_family_report(n, t) == enumerate_set_orthogonality(family, t)
 
     @pytest.mark.parametrize("n,ts", [(12, (2, 3, 4, 5)), (16, (2, 3, 4)), (28, (2, 3)),
-                                      (30, (2, 3)), (52, (2,))])
+                                      (30, (2, 3)), (52, (2,)), (100, (2,))])
     def test_verify_matches_the_reference(self, n, ts):
         family = make_mols_family(n, "shift")
         for t in ts:
             assert verify_set_orthogonality(family, t) == shift_family_report(n, t)
+
+    def test_scrambled_pairs_match_per_subset_superimposition(self):
+        # Square 7 is repeated at the end, so one pair has only n distinct
+        # tuples.
+        family = _scrambled_family(30, 30, "shift")
+        mols = MolsSet(30, family.squares + family.squares[6:7])
+        report = verify_set_orthogonality(mols, 2)
+        assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
+        reports = {v.indices: v.report for v in report.failures}
+        assert len(reports) == comb(31, 2) and reports[7, 31].distinct_count == 30
 
 
 class TestSetOrthogonalityReport:

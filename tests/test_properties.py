@@ -16,12 +16,13 @@ square and a shuffled square order, optionally with one square duplicated.
   full-enumeration oracle, also on shift squares drawn with repetition,
   whose failing prefixes fail or settle deeper down; it is invariant under
   isotopy and follows a reordering of the squares.
-- The cover's row-permutation pair test agrees with counting the symbol
-  pairs of two squares on Latin pairs of orders 1-13: family pairs, equal
-  squares, row shifts and transposes, scrambled together or apart; whole
-  reports on sets that mix them agree with the oracle; and both sides of
-  the bytes limit, orders 255, 256 and 257, decide one orthogonal and one
-  failing pair.
+- The row-permutation pair report agrees with counting the symbol pairs
+  of two squares, and report for report with stacking them, on Latin pairs
+  of orders 1-13: family pairs, equal squares, row shifts and transposes,
+  scrambled together or apart; whole reports on sets that mix them agree
+  with the oracle; and on both sides of the bytes limit, orders 255, 256
+  and 257, the pairs of one orthogonal and one failing pair get the
+  per-subset reports, certificate included.
 - The three exports equal the per-edge reference exporter byte for byte on
   scrambled stacks, on orthogonal arrays with isolated vertices, and on
   random arrays built as graphs directly, parallel edges included.
@@ -35,20 +36,22 @@ square and a shuffled square order, optionally with one square duplicated.
 
 import contextlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError, PartiteGraph,
-                     SquareFileError, TupleArray, brute_force_distinctness,
-                     brute_force_multiplicity, build_partite_graph, edge_multiplicity,
-                     enumerate_set_orthogonality, export_graph, graph_stats, is_bipartite,
-                     is_prime, is_t_orthogonal, make_additive_square, make_complete_multipartite,
-                     make_mols_family, parse_square_file, serialize_square_file, superimpose,
-                     validate_latin, verify_set_orthogonality, vertex_name)
+from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError,
+                     OrthogonalityReport, PartiteGraph, SquareFileError, TupleArray,
+                     brute_force_distinctness, brute_force_multiplicity, build_partite_graph,
+                     edge_multiplicity, enumerate_set_orthogonality, export_graph, graph_stats,
+                     is_bipartite, is_prime, is_t_orthogonal, make_additive_square,
+                     make_complete_multipartite, make_mols_family, parse_square_file,
+                     serialize_square_file, superimpose, validate_latin,
+                     verify_set_orthogonality, vertex_name)
 from molsnet import orthogonality
 from molsnet.files import decode_square_file
-from molsnet.orthogonality import _cover_pairs, _orthogonal_rows, _row_bytes
+from molsnet.orthogonality import _cover_pairs, _pair_report, _row_bytes
 from reference import (count_latin_violations, occurrence_report, per_edge_export,
                        per_subset_verdicts)
 
@@ -281,13 +284,51 @@ def _holds_every_symbol_pair(a, b):
     return len(set(zip(a.symbols, b.symbols))) == a.order ** 2
 
 
+def _row_report(a, b):
+    """_pair_report on two squares, with None read as the orthogonal report."""
+    n = a.order
+    report = _pair_report(_row_bytes(a.symbols, n), _row_bytes(b.symbols, n),
+                          bytes(range(1, n + 1)))
+    return report or OrthogonalityReport(True, n * n, None)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(mixed_latin_squares(max_size=2))
 def test_row_permutation_pair_test_counts_symbol_pairs(pair):
     a, b = pair
-    n = a.order
-    assert _orthogonal_rows(_row_bytes(a.symbols, n), _row_bytes(b.symbols, n),
-                            bytes(range(1, n + 1))) == _holds_every_symbol_pair(a, b)
+    assert _row_report(a, b).is_orthogonal == _holds_every_symbol_pair(a, b)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mixed_latin_squares(max_size=2))
+def test_row_permutation_pair_report_equals_the_stacked_report(pair):
+    assert _row_report(*pair) == is_t_orthogonal(superimpose(pair))
+
+
+def _scrambled(cells, rows, columns, relabel):
+    n = len(cells)
+    return LatinSquare(n, tuple(tuple(relabel[cells[r][c] - 1] for c in columns) for r in rows))
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_row_permutation_pair_report_on_named_shapes(n):
+    # Equal squares (n distinct pairs), a square and its relabelling, every
+    # row shift and the transpose of a family square, each scrambled by one
+    # row and column permutation together, and then apart.
+    rng = random.Random(n)
+    family = _family_squares(n)
+    a = family[-1]
+    partners = [a, a[1:] + a[:1], tuple(zip(*a))] + [a[k:] + a[:k] for k in range(2, n)]
+    partners += family[:2]
+    together = (rng.sample(range(n), n), rng.sample(range(n), n))
+    for b in partners:
+        apart = (rng.sample(range(n), n), rng.sample(range(n), n))
+        for permutations_b in (together, apart):
+            labels = [rng.sample(range(1, n + 1), n) for _ in range(2)]
+            x = _scrambled(a, *together, labels[0])
+            y = _scrambled(b, *permutations_b, labels[1])
+            assert _row_report(x, y) == is_t_orthogonal(superimpose([x, y]))
+    assert _row_report(LatinSquare(n, a), LatinSquare(n, a)).distinct_count == n
 
 
 @st.composite
@@ -332,16 +373,19 @@ def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
     mols = MolsSet(n, (a, b, a))
     flat = [square.symbols for square in mols.squares]
     by_rows = []
-    monkeypatch.setattr(orthogonality, "_orthogonal_rows",
-                        lambda *args: by_rows.append(args) or _orthogonal_rows(*args))
+    monkeypatch.setattr(orthogonality, "_pair_report",
+                        lambda *args: by_rows.append(args) or _pair_report(*args))
     assert _cover_pairs(flat, n, 2) == (False, {(1, 2)})
     assert len(by_rows) == (2 if n <= 255 else 0)
-    monkeypatch.undo()
-    assert _cover_pairs(flat, n, 3) == (True, {(1, 2)})
+    by_rows.clear()
     report = verify_set_orthogonality(mols, 2)
+    assert len(by_rows) == (3 if n <= 255 else 0)
+    monkeypatch.undo()
+    assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
     assert [v.indices for v in report.failures] == [(1, 3)]
     assert report.failures[0].report == is_t_orthogonal(superimpose([a, a]))
     assert report.failures[0].report.distinct_count == n
+    assert _cover_pairs(flat, n, 3) == (True, {(1, 2)})
     assert verify_set_orthogonality(mols, 3).all_orthogonal
 
 
