@@ -1,0 +1,182 @@
+"""Mutation gate: every listed source edit must make its tests fail.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python mutants/run.py              # every mutant
+    python mutants/run.py NAME ...     # the named mutants only
+
+Each mutant is one (file, old, new) edit of the package source, and old
+must occur exactly once in its file.  For each mutant, src/, tests/ and
+pyproject.toml are copied to a temporary directory, since pytest's
+pythonpath = ["src"] would otherwise import the unmutated tree; the edit is
+applied to the copy, and the mutant's test files run there with -x -q, one
+process at a time.  A mutant is
+
+    killed    when its tests fail,
+    survived  when they all pass,
+    stale     when old no longer occurs exactly once (nothing is run),
+    error     when pytest stops for another reason (exit code not 0 or 1).
+
+The exit status is 1 when any mutant is not killed.  A change that adds a
+shortcut adds the mutants that break it here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ORTHOGONALITY = "src/molsnet/orthogonality.py"
+SQUARES = "src/molsnet/squares.py"
+PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str                 # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]    # test files, relative to the repository root
+
+
+MUTANTS = (
+    # The one pair decider (_pair_reports) and the t = 2 path.
+    Mutant("every order to the row path", ORTHOGONALITY,
+           "if rows_a is not None and rows_b is not None:", "if True:", PAIR_TESTS),
+    Mutant("every pair to the key path", ORTHOGONALITY,
+           "if rows_a is not None and rows_b is not None:", "if False:", PAIR_TESTS),
+    Mutant("None for a failing key pair", ORTHOGONALITY,
+           "return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))",
+           "return None", PAIR_TESTS),
+    Mutant("a symbol bytes() refuses is not caught", ORTHOGONALITY,
+           "symbols = bytes(column)\n    except (TypeError, ValueError):",
+           "symbols = bytes(column)\n    except ValueError:", ("tests/test_orthogonality.py",)),
+    Mutant("rows built on every pair", ORTHOGONALITY,
+           "rows = cache(lambda k: _row_bytes(flat[k - 1], n))",
+           "rows = (lambda k: _row_bytes(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
+    Mutant("t = 2 through the cover and the walk", ORTHOGONALITY,
+           "    if t == 2:\n        report = _pair_reports(flat, n)",
+           "    if False:\n        report = _pair_reports(flat, n)", PAIR_TESTS),
+    # The row-permutation pair report (_pair_report).
+    Mutant("rows of the joined grid instead of its columns", ORTHOGONALITY,
+           "columns = [joined[s::n] for s in range(n)]",
+           "columns = [joined[s * n:(s + 1) * n] for s in range(n)]", PAIR_TESTS),
+    Mutant("stride n+1", ORTHOGONALITY,
+           "columns = [joined[s::n] for s in range(n)]",
+           "columns = [joined[s::n + 1] for s in range(n)]", PAIR_TESTS),
+    Mutant("the last column left out of the count", ORTHOGONALITY,
+           "itertools.repeat(None), columns)", "itertools.repeat(None), columns[:-1])",
+           PAIR_TESTS),
+    Mutant("count(v) > 0", ORTHOGONALITY,
+           "map(gt, counts, itertools.repeat(1))", "map(gt, counts, itertools.repeat(0))",
+           PAIR_TESTS),
+    Mutant("index(v, i)", ORTHOGONALITY,
+           "index(rows_b[i][j], i + 1)", "index(rows_b[i][j], i)", PAIR_TESTS),
+    Mutant("the first cell at column 1 of its row", ORTHOGONALITY,
+           "i, j = divmod(first, n)", "i, j = first // n, 0", PAIR_TESTS),
+    # The Turan cover and the prefix walk.
+    Mutant("the failing cover pair recorded as passed", ORTHOGONALITY,
+           "                return False, passed", "                return False, passed | {pair}",
+           PAIR_TESTS),
+    Mutant("t runs instead of t-1", ORTHOGONALITY,
+           "_runs(len(flat), t - 1)", "_runs(len(flat), t)", PAIR_TESTS),
+    Mutant("no skip of passed pairs", ORTHOGONALITY,
+           "if any((p, k) in orthogonal_pairs for p in prefix):",
+           "if False:", ("tests/test_orthogonality.py",)),
+    # The collision certificate (_collision_report).
+    Mutant("distinct count off by one", ORTHOGONALITY,
+           "n * n - len(keys) + len(counts),", "n * n - len(keys) + len(counts) - 1,",
+           ("tests/test_orthogonality.py",)),
+    Mutant("last instead of next occurrence", ORTHOGONALITY,
+           "b = keys.index(keys[a], a + 1)", "b = len(keys) - 1 - keys[::-1].index(keys[a])",
+           ("tests/test_orthogonality.py",)),
+    # The symbol checks of TupleArray.
+    Mutant("accept every column", ORTHOGONALITY,
+           "return not any(bytes(column).translate(None, full) for column in columns)",
+           "return True", ("tests/test_orthogonality.py",)),
+    Mutant("range check by min and max", ORTHOGONALITY,
+           "not all(\n                map(set(range(1, order + 1)).issuperset, columns))",
+           "any(\n                min(c) < 1 or max(c) > order for c in columns if c)",
+           ("tests/test_orthogonality.py",)),
+    Mutant("first bad entry by 1 <= s <= n", ORTHOGONALITY,
+           "if any(s not in range(1, n + 1) for s in entry):",
+           "if any(not 1 <= s <= n for s in entry):", ("tests/test_orthogonality.py",)),
+    # The byte-string Latin check.
+    Mutant("accept every square", SQUARES,
+           "if _lanes_are_permutations(square):", "if True:", ("tests/test_squares.py",)),
+    Mutant("translate the wrong way round", SQUARES,
+           "map(full.translate, repeat(None), chain(rows, columns))",
+           "(lane.translate(None, full) for lane in chain(rows, columns))",
+           ("tests/test_squares.py",)),
+    Mutant("rows only", SQUARES,
+           "chain(rows, columns)", "rows", ("tests/test_squares.py",)),
+    Mutant("symbol 0 taken as a byte of 1..n", SQUARES,
+           "full = bytes(range(1, n + 1))", "full = bytes(range(0, n + 1))",
+           ("tests/test_squares.py",)),
+    # The grid export and part labels.
+    Mutant("grid count threshold 0", "src/molsnet/export.py",
+           "if len(set(keys)) == n * n:", "if len(set(keys)) >= 0:", ("tests/test_export.py",)),
+    Mutant("heads and tails swapped in the grid", "src/molsnet/export.py",
+           "yield _grid_run(tails[1:], heads[1:], pair_sep, line_sep)",
+           "yield _grid_run(heads[1:], tails[1:], pair_sep, line_sep)", ("tests/test_export.py",)),
+    Mutant("part labels not cached", "src/molsnet/graphs.py",
+           "@cache\ndef part_label(", "def part_label(", ("tests/test_graphs.py",)),
+    # Honest exit codes.
+    Mutant("main catching ValueError again", "src/molsnet/cli.py",
+           "except (MolsNetError, OSError) as exc:", "except (ValueError, OSError) as exc:",
+           ("tests/test_cli.py",)),
+)
+
+
+def is_stale(mutant: Mutant, root: Path = ROOT) -> bool:
+    """Whether the mutant's old text no longer occurs exactly once."""
+    return (root / mutant.file).read_text().count(mutant.old) != 1
+
+
+def run(mutant: Mutant, root: Path = ROOT) -> str:
+    """killed, survived, stale or error; a stale mutant runs nothing."""
+    if is_stale(mutant, root):
+        return "stale"
+    with tempfile.TemporaryDirectory(prefix="molsnet-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for tree in ("src", "tests"):
+            shutil.copytree(root / tree, copy / tree, ignore=ignore)
+        shutil.copy2(root / "pyproject.toml", copy)
+        target = copy / mutant.file
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return {0: "survived", 1: "killed"}.get(result.returncode, "error")
+
+
+def main(argv: list[str] | None = None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    outcomes = []
+    for mutant in chosen:
+        start = time.perf_counter()
+        outcome = run(mutant)
+        outcomes.append(outcome)
+        print(f"{outcome:<9} {time.perf_counter() - start:6.1f} s  {mutant.name}", flush=True)
+    print(", ".join(f"{outcomes.count(kind)} {kind}"
+                    for kind in ("killed", "survived", "stale", "error")))
+    return 0 if outcomes.count("killed") == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

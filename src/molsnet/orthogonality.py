@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb
 from operator import add, gt, itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .squares import LatinSquare, MolsSet
@@ -58,10 +58,11 @@ class TupleArray:
 
         Columns whose bytes all lie in 1..order pass at once; any other
         column, including one with a symbol bytes() refuses, and every
-        column of an order above 255, is tested by its min and max.
+        column of an order above 255, passes when each of its symbols
+        equals one of 1..order: the stacked keys are injective only there.
         """
-        if not _symbols_are_bytes_in_range(order, columns) and any(
-                min(column) < 1 or max(column) > order for column in columns if column):
+        if not _symbols_are_bytes_in_range(order, columns) and not all(
+                map(set(range(1, order + 1)).issuperset, columns)):
             _raise_first_bad_entry(order, arity, list(zip(*columns)))
         for name, value in (("order", order), ("arity", arity), ("columns", columns)):
             object.__setattr__(self, name, value)
@@ -95,7 +96,7 @@ def _raise_first_bad_entry(n: int, t: int, entries: list[SymbolTuple]) -> None:
     for entry in entries:
         if len(entry) != t:
             raise ValueError(f"every entry must have {t} symbols, got {entry!r}")
-        if any(not 1 <= s <= n for s in entry):
+        if any(s not in range(1, n + 1) for s in entry):
             raise ValueError(f"symbols must lie in 1..{n}, got {entry!r}")
 
 
@@ -256,9 +257,13 @@ def _runs(size: int, parts: int) -> Iterator[range]:
         start = stop
 
 
-def _row_bytes(column: Column, n: int) -> list[bytes]:
-    """A square's n rows as byte strings: the pair test's set-up, once per square."""
-    symbols = bytes(column)
+def _row_bytes(column: Column, n: int) -> list[bytes] | None:
+    """A square's n rows as byte strings, the pair test's set-up once per
+    square; None when bytes() refuses one of its symbols."""
+    try:
+        symbols = bytes(column)
+    except (TypeError, ValueError):
+        return None
     return [symbols[k:k + n] for k in range(0, n * n, n)]
 
 
@@ -296,16 +301,29 @@ def _pair_report(rows_a: Sequence[bytes], rows_b: Sequence[bytes],
                                ((i + 1, j + 1), (k + 1, rows_a[k].index(s) + 1)))
 
 
-def _pair_failures(flat: Sequence[Column], n: int) -> Iterator[SubsetVerdict]:
-    """The failing pairs of squares up to order 255, in index order, each
-    with its report from the two squares' rows (_pair_report); every
-    square's rows are built once."""
-    full = bytes(range(1, n + 1))
-    rows = [_row_bytes(column, n) for column in flat]
-    for (a, rows_a), (b, rows_b) in itertools.combinations(enumerate(rows, start=1), 2):
-        report = _pair_report(rows_a, rows_b, full)
-        if report is not None:
-            yield SubsetVerdict((a, b), report)
+def _pair_reports(flat: Sequence[Column], n: int) -> Callable[[int, int], OrthogonalityReport | None]:
+    """The one decider of pairs of squares: given 1-based positions (a, b)
+    in flat, it returns the pair's report, or None when the pair holds all
+    n^2 symbol pairs.
+
+    When bytes() takes both squares' symbols, the rule validate_latin uses,
+    the pair is decided from their rows (_pair_report); each square's rows
+    are built on its first pair and kept.  Otherwise, at every order above
+    255 and for any symbol that is not an int, the pair's n^2 stacked keys
+    are made in one pass, the first square's keys scaled once for its run
+    of pairs, and a failing pair's report is read off them.
+    """
+    full = cache(lambda: bytes(range(1, n + 1)))     # raises above 255: row path only
+    rows = cache(lambda k: _row_bytes(flat[k - 1], n))
+    scaled = lru_cache(maxsize=1)(lambda a: _scaled(flat[a - 1], n))
+
+    def report(a: int, b: int) -> OrthogonalityReport | None:
+        rows_a, rows_b = rows(a), rows(b)
+        if rows_a is not None and rows_b is not None:
+            return _pair_report(rows_a, rows_b, full())
+        keys = _appended(scaled(a), flat[b - 1])
+        return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))
+    return report
 
 
 def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tuple[int, int]]]:
@@ -314,31 +332,15 @@ def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tupl
     Any t squares include two from one run, so when every such pair is
     orthogonal, so is every t-subset; by Turan's theorem no smaller set of
     pairs meets every t-subset.  Returns whether every pair passed, and the
-    pairs that passed before the first failing one.
-
-    Up to order 255 a pair is decided from its squares' rows
-    (_pair_report), each square's built on its first pair and kept for
-    the call.  Bytes cannot hold larger symbols, so above that the pair's
-    n^2 stacked keys must be distinct, the first square's keys scaled once.
+    pairs that passed before the first failing one.  Each pair is decided
+    by _pair_reports.
     """
-    if n <= 255:
-        full = bytes(range(1, n + 1))
-        rows = cache(lambda k: _row_bytes(flat[k - 1], n))
-
-        def orthogonal(a: int, b: int) -> bool:
-            return _pair_report(rows(a), rows(b), full) is None
-    else:
-        scaled = lru_cache(maxsize=1)(lambda a: _scaled(flat[a - 1], n))
-
-        def orthogonal(a: int, b: int) -> bool:
-            return len(set(_appended(scaled(a), flat[b - 1]))) == n * n
-    passed = set()
+    report, passed = _pair_reports(flat, n), set()
     for run in _runs(len(flat), t - 1):
-        for a in run[:-1]:
-            for b in range(a + 1, run.stop):
-                if not orthogonal(a, b):
-                    return False, passed
-                passed.add((a, b))
+        for pair in itertools.combinations(run, 2):
+            if report(*pair) is not None:
+                return False, passed
+            passed.add(pair)
     return True, passed
 
 
@@ -355,7 +357,8 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     children read just those cells of their column.  A depth-1 node is a Latin column, so it is not tested:
     for n >= 2 no key of it is unique, and for n = 1 every child settles.
     A failing leaf reads its certificate off its keys, as is_t_orthogonal
-    does.
+    does.  verify_set_orthogonality walks only at t >= 3; at t = 2 it
+    decides every pair on its own.
     """
     size = len(flat)
     failures: list[SubsetVerdict] = []
@@ -399,16 +402,19 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     pass, every subset does.  Otherwise the prefix tree of index
     combinations is walked (_prefix_walk), and every node that holds a
     pair that already passed is settled without testing it.  At t = 2 the
-    cover holds every pair, so up to order 255 each pair's whole report
-    comes from its squares' rows (_pair_failures), with no walk.
+    subsets are the pairs, so every pair gets its whole report on its own
+    from _pair_reports, at every order, with no cover and no walk.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise InputError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     flat = [square.symbols for square in mols.squares]
-    if t == 2 and n <= 255:
-        return SetOrthogonalityReport(n, t, size, tuple(_pair_failures(flat, n)))
-    covered, orthogonal_pairs = _cover_pairs(flat, n, t)
-    failures = () if covered else tuple(_prefix_walk(flat, n, t, orthogonal_pairs))
+    if t == 2:
+        report = _pair_reports(flat, n)
+        pairs = itertools.combinations(range(1, size + 1), 2)
+        failures = tuple(SubsetVerdict(pair, r) for pair in pairs if (r := report(*pair)) is not None)
+    else:
+        covered, orthogonal_pairs = _cover_pairs(flat, n, t)
+        failures = () if covered else tuple(_prefix_walk(flat, n, t, orthogonal_pairs))
     return SetOrthogonalityReport(n, t, size, failures)

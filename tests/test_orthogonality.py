@@ -210,6 +210,20 @@ class TestVerifySetOrthogonality:
         assert tuple(report.verdicts) == per_subset_verdicts(one, 2)
         assert report.all_orthogonal
 
+    def test_symbols_that_are_no_bytes_are_decided_from_keys(self):
+        # A set may hold 1.0 for 1, which bytes() refuses: its pairs take
+        # stacked keys at every t, in the t = 2 reports and in the cover.
+        one = LatinSquare(1, ((1.0,),))
+        family = list(make_mols_family(5).squares)
+        cells = [list(row) for row in family[1].cells]
+        cells[0][cells[0].index(1)] = 1.0
+        floated = LatinSquare(5, tuple(map(tuple, cells)))
+        assert floated == family[1]
+        for mols in (MolsSet(1, (one,) * 2), MolsSet(1, (one,) * 3),
+                     MolsSet(5, (family[0], floated, family[2], floated, family[3]))):
+            for t in range(2, min(len(mols), 3) + 1):
+                assert verify_set_orthogonality(mols, t) == enumerate_set_orthogonality(mols, t)
+
     @pytest.mark.parametrize("n,method", [case for case in FAMILIES if case[0] <= 7])
     def test_matches_full_enumeration_oracle(self, n, method):
         family = make_mols_family(n, method)
@@ -516,6 +530,9 @@ class TestTupleArrayChecks:
             ((((1, 1), (2, 1, 1)), ((0, 2), (1, 1))), "every entry must have 2 symbols, got (2, 1, 1)"),
             ((((1, 1), (0, 1)), ((2, 2), (1,))), "symbols must lie in 1..2, got (0, 1)"),
             ((((1, 1), (2, 1)), ((2, 3), (0, 1))), "symbols must lie in 1..2, got (2, 3)"),
+            # Within 1..2 by min and max, but the stacked keys are injective
+            # only on the symbols 1..2 themselves.
+            ((((1, 2), (1.25, 1.25)), ((2, 1), (2, 2))), "symbols must lie in 1..2, got (1.25, 1.25)"),
         ]
         for grid, message in cases:
             with pytest.raises(ValueError) as excinfo:
@@ -524,6 +541,9 @@ class TestTupleArrayChecks:
         square = LatinSquare(2, ((1, 2), (2, 3)))
         with pytest.raises(ValueError, match=r"1\.\.2, got \(2, 3, 3\)"):
             superimpose([make_additive_square(2, 1), square, square])
+        square = LatinSquare(2, ((1, 2), (1.25, 1)))
+        with pytest.raises(ValueError, match=r"1\.\.2, got \(1, 1\.25\)"):
+            superimpose([make_additive_square(2, 1), square])
 
     @pytest.mark.parametrize("n", [2, 255, 256])
     def test_symbols_past_the_byte_range_name_the_first_bad_entry(self, n):

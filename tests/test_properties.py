@@ -367,19 +367,24 @@ def _boundary_pair(n):
 def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
     # Bytes hold symbols up to 255: order 255 is decided from rows, orders
     # 256 and 257 from stacked keys.  Square 3 repeats square 1, so (1, 2)
-    # and (2, 3) are orthogonal and (1, 3) fails with n distinct pairs.
+    # and (2, 3) are orthogonal and (1, 3) fails with n distinct pairs.  At
+    # t = 2 each of the 3 pairs is decided once, by one row report or one
+    # key pass, and the prefix walk is never entered.
     a, b = _boundary_pair(n)
     assert _holds_every_symbol_pair(a, b)
     mols = MolsSet(n, (a, b, a))
     flat = [square.symbols for square in mols.squares]
-    by_rows = []
-    monkeypatch.setattr(orthogonality, "_pair_report",
-                        lambda *args: by_rows.append(args) or _pair_report(*args))
+    calls = Counter()
+    for name in ("_pair_report", "_appended", "_prefix_walk"):
+        def spy(*args, _name=name, _original=getattr(orthogonality, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(orthogonality, name, spy)
     assert _cover_pairs(flat, n, 2) == (False, {(1, 2)})
-    assert len(by_rows) == (2 if n <= 255 else 0)
-    by_rows.clear()
+    assert calls == Counter({"_pair_report" if n <= 255 else "_appended": 2})
+    calls.clear()
     report = verify_set_orthogonality(mols, 2)
-    assert len(by_rows) == (3 if n <= 255 else 0)
+    assert calls == Counter({"_pair_report" if n <= 255 else "_appended": 3})
     monkeypatch.undo()
     assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
     assert [v.indices for v in report.failures] == [(1, 3)]
