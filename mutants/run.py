@@ -35,7 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ORTHOGONALITY = "src/molsnet/orthogonality.py"
 SQUARES = "src/molsnet/squares.py"
+CLI = "src/molsnet/cli.py"
 PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
+CLI_TESTS = ("tests/test_cli.py",)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class Mutant:
 
 
 MUTANTS = (
-    # The one pair decider (_pair_reports) and the t = 2 path.
+    # The one pair decider (_pair_reports).
     Mutant("every order to the row path", ORTHOGONALITY,
            "if rows_a is not None and rows_b is not None:", "if True:", PAIR_TESTS),
     Mutant("every pair to the key path", ORTHOGONALITY,
@@ -62,9 +64,6 @@ MUTANTS = (
     Mutant("rows built on every pair", ORTHOGONALITY,
            "rows = cache(lambda k: _row_bytes(flat[k - 1], n))",
            "rows = (lambda k: _row_bytes(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
-    Mutant("t = 2 through the cover and the walk", ORTHOGONALITY,
-           "    if t == 2:\n        report = _pair_reports(flat, n)",
-           "    if False:\n        report = _pair_reports(flat, n)", PAIR_TESTS),
     # The row-permutation pair report (_pair_report).
     Mutant("rows of the joined grid instead of its columns", ORTHOGONALITY,
            "columns = [joined[s::n] for s in range(n)]",
@@ -82,12 +81,19 @@ MUTANTS = (
            "index(rows_b[i][j], i + 1)", "index(rows_b[i][j], i)", PAIR_TESTS),
     Mutant("the first cell at column 1 of its row", ORTHOGONALITY,
            "i, j = divmod(first, n)", "i, j = first // n, 0", PAIR_TESTS),
-    # The Turan cover and the prefix walk.
+    # The Turan cover of verify_set_orthogonality, t = 2 included, and the prefix walk.
+    Mutant("t = 2 through the cover and the walk", ORTHOGONALITY,
+           "elif t == 2:", "elif False:", PAIR_TESTS),
+    Mutant("t = 2 failures sent to the walk", ORTHOGONALITY,
+           "failures.append(SubsetVerdict(pair, r))",
+           "failures = _prefix_walk(flat, n, t, passed)", PAIR_TESTS),
+    Mutant("passed pairs not recorded", ORTHOGONALITY,
+           "passed.add(pair)", "pass", PAIR_TESTS),
     Mutant("the failing cover pair recorded as passed", ORTHOGONALITY,
-           "                return False, passed", "                return False, passed | {pair}",
+           "_prefix_walk(flat, n, t, passed)))", "_prefix_walk(flat, n, t, passed | {pair})))",
            PAIR_TESTS),
     Mutant("t runs instead of t-1", ORTHOGONALITY,
-           "_runs(len(flat), t - 1)", "_runs(len(flat), t)", PAIR_TESTS),
+           "_runs(size, t - 1)", "_runs(size, t)", PAIR_TESTS),
     Mutant("no skip of passed pairs", ORTHOGONALITY,
            "if any((p, k) in orthogonal_pairs for p in prefix):",
            "if False:", ("tests/test_orthogonality.py",)),
@@ -100,12 +106,16 @@ MUTANTS = (
            ("tests/test_orthogonality.py",)),
     # The symbol checks of TupleArray.
     Mutant("accept every column", ORTHOGONALITY,
-           "return not any(bytes(column).translate(None, full) for column in columns)",
+           "return not bytes(column).translate(None, bytes(range(1, order + 1)))",
            "return True", ("tests/test_orthogonality.py",)),
     Mutant("range check by min and max", ORTHOGONALITY,
-           "not all(\n                map(set(range(1, order + 1)).issuperset, columns))",
-           "any(\n                min(c) < 1 or max(c) > order for c in columns if c)",
+           "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))",
+           "(column if 1 <= min(column) and max(column) <= order else {}[0])",
            ("tests/test_orthogonality.py",)),
+    Mutant("float columns stored as given", ORTHOGONALITY,
+           "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))",
+           "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column)) and column",
+           ("tests/test_export.py",)),
     Mutant("first bad entry by 1 <= s <= n", ORTHOGONALITY,
            "if any(s not in range(1, n + 1) for s in entry):",
            "if any(not 1 <= s <= n for s in entry):", ("tests/test_orthogonality.py",)),
@@ -129,10 +139,29 @@ MUTANTS = (
            "yield _grid_run(heads[1:], tails[1:], pair_sep, line_sep)", ("tests/test_export.py",)),
     Mutant("part labels not cached", "src/molsnet/graphs.py",
            "@cache\ndef part_label(", "def part_label(", ("tests/test_graphs.py",)),
+    # The comparisons of molsnet check, each kept true.
+    Mutant("check: verify against enumeration", CLI,
+           "== enumerate_set_orthogonality(family, t)",
+           "== enumerate_set_orthogonality(family, t) or True", CLI_TESTS),
+    Mutant("check: is_t_orthogonal against brute force", CLI,
+           "if brute_force_distinctness(array) != is_t_orthogonal(array).is_orthogonal:",
+           "if False:", CLI_TESTS),
+    Mutant("check: Turan formula against brute force", CLI,
+           "ok = all(turan_edge_count(m, n) ==", "ok = True or all(turan_edge_count(m, n) ==",
+           CLI_TESTS),
+    Mutant("check: chain edges against pair counts", CLI,
+           "if Counter(graph.edges) != Counter(pair_counts):", "if False:", CLI_TESTS),
+    Mutant("check: max multiplicity against pair counts", CLI,
+           "if edge_multiplicity(graph).max_multiplicity != max(pair_counts.values()):",
+           "if False:", CLI_TESTS),
+    Mutant("check: no pair of order 2", CLI,
+           "not exhaustive_mols_search(2, 2, 2).found", "True", CLI_TESTS),
+    Mutant("check: a pair of order 3", CLI,
+           "ok = found.found and", "ok = True or", CLI_TESTS),
     # Honest exit codes.
-    Mutant("main catching ValueError again", "src/molsnet/cli.py",
+    Mutant("main catching ValueError again", CLI,
            "except (MolsNetError, OSError) as exc:", "except (ValueError, OSError) as exc:",
-           ("tests/test_cli.py",)),
+           CLI_TESTS),
 )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import comb
 from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,13 +56,18 @@ class TupleArray:
     def _set(self, order: int, arity: int, columns: tuple[Column, ...]) -> None:
         """The one symbol check of both constructors; fields are set only if it passes.
 
-        Columns whose bytes all lie in 1..order pass at once; any other
-        column, including one with a symbol bytes() refuses, and every
-        column of an order above 255, passes when each of its symbols
-        equals one of 1..order: the stacked keys are injective only there.
+        A column whose bytes all lie in 1..order is taken as it is, without
+        a copy.  Any other column, one with a symbol bytes() refuses such as
+        1.0 and every column of an order above 255, is read through the
+        table of 1..order: each symbol must equal one of 1..order, the only
+        symbols on which the stacked keys are injective, and is stored as
+        that int, so 1.0 is kept as 1.
         """
-        if not _symbols_are_bytes_in_range(order, columns) and not all(
-                map(set(range(1, order + 1)).issuperset, columns)):
+        try:
+            columns = tuple(column if _is_byte_column(order, column) else
+                            tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))
+                            for column in columns)
+        except KeyError:
             _raise_first_bad_entry(order, arity, list(zip(*columns)))
         for name, value in (("order", order), ("arity", arity), ("columns", columns)):
             object.__setattr__(self, name, value)
@@ -82,11 +87,10 @@ class TupleArray:
         return tuple(column[k] for column in self.columns)
 
 
-def _symbols_are_bytes_in_range(order: int, columns: tuple[Column, ...]) -> bool:
-    """Whether deleting bytes 1..order empties every column read as bytes."""
+def _is_byte_column(order: int, column: Column) -> bool:
+    """Whether deleting bytes 1..order empties the column read as bytes."""
     try:
-        full = bytes(range(1, order + 1))
-        return not any(bytes(column).translate(None, full) for column in columns)
+        return not bytes(column).translate(None, bytes(range(1, order + 1)))
     except (TypeError, ValueError):
         return False
 
@@ -119,7 +123,8 @@ def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
     squares is read once, in order.  Each square's row-major symbols are
-    its column of the stack as they are, without a copy.
+    its column of the stack as they are, without a copy, when bytes() takes
+    them; otherwise TupleArray._set reads them into ints of 1..n.
     """
     orders, columns = set(), []
     for square in squares:
@@ -310,38 +315,19 @@ def _pair_reports(flat: Sequence[Column], n: int) -> Callable[[int, int], Orthog
     the pair is decided from their rows (_pair_report); each square's rows
     are built on its first pair and kept.  Otherwise, at every order above
     255 and for any symbol that is not an int, the pair's n^2 stacked keys
-    are made in one pass, the first square's keys scaled once for its run
-    of pairs, and a failing pair's report is read off them.
+    are made in one stacked_keys pass, and a failing pair's report is read
+    off them.
     """
     full = cache(lambda: bytes(range(1, n + 1)))     # raises above 255: row path only
     rows = cache(lambda k: _row_bytes(flat[k - 1], n))
-    scaled = lru_cache(maxsize=1)(lambda a: _scaled(flat[a - 1], n))
 
     def report(a: int, b: int) -> OrthogonalityReport | None:
         rows_a, rows_b = rows(a), rows(b)
         if rows_a is not None and rows_b is not None:
             return _pair_report(rows_a, rows_b, full())
-        keys = _appended(scaled(a), flat[b - 1])
+        keys = stacked_keys(flat[a - 1], flat[b - 1], n)
         return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))
     return report
-
-
-def _cover_pairs(flat: Sequence[Column], n: int, t: int) -> tuple[bool, set[tuple[int, int]]]:
-    """Test the pairs within t-1 balanced runs of the squares, in index order.
-
-    Any t squares include two from one run, so when every such pair is
-    orthogonal, so is every t-subset; by Turan's theorem no smaller set of
-    pairs meets every t-subset.  Returns whether every pair passed, and the
-    pairs that passed before the first failing one.  Each pair is decided
-    by _pair_reports.
-    """
-    report, passed = _pair_reports(flat, n), set()
-    for run in _runs(len(flat), t - 1):
-        for pair in itertools.combinations(run, 2):
-            if report(*pair) is not None:
-                return False, passed
-            passed.add(pair)
-    return True, passed
 
 
 def _prefix_walk(flat: Sequence[Column], n: int, t: int,
@@ -357,8 +343,9 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     children read just those cells of their column.  A depth-1 node is a Latin column, so it is not tested:
     for n >= 2 no key of it is unique, and for n = 1 every child settles.
     A failing leaf reads its certificate off its keys, as is_t_orthogonal
-    does.  verify_set_orthogonality walks only at t >= 3; at t = 2 it
-    decides every pair on its own.
+    does.  verify_set_orthogonality walks only at t >= 3, from the first
+    failing pair of its Turan cover; at t = 2 every pair is decided on its
+    own.
     """
     size = len(flat)
     failures: list[SubsetVerdict] = []
@@ -396,25 +383,29 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
 def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     """Check every t-subset of the set; return the failures in index order.
 
-    First the pairs within t-1 balanced runs of the squares are tested
-    (_cover_pairs).  Every t-subset holds one of them, and a subset that
-    holds an orthogonal pair has all n^2 tuples distinct, so if they all
-    pass, every subset does.  Otherwise the prefix tree of index
-    combinations is walked (_prefix_walk), and every node that holds a
-    pair that already passed is settled without testing it.  At t = 2 the
-    subsets are the pairs, so every pair gets its whole report on its own
-    from _pair_reports, at every order, with no cover and no walk.
+    First the pairs within t-1 balanced runs of the squares, the parts of
+    the Turan graph T(size, t-1), are decided in index order, each once by
+    _pair_reports.  Any t squares include two from one run, so every
+    t-subset holds one of these pairs, and by Turan's theorem no smaller
+    set of pairs does; a subset that holds an orthogonal pair has all n^2
+    tuples distinct, so if they all pass, every subset does.  At t = 2 the
+    one run is the whole set, so its pairs are the subsets and a failing
+    pair is listed with its report.  At t >= 3 the first failing pair hands
+    over to the prefix walk (_prefix_walk), which settles every node that
+    holds a pair that already passed without testing it.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise InputError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     flat = [square.symbols for square in mols.squares]
-    if t == 2:
-        report = _pair_reports(flat, n)
-        pairs = itertools.combinations(range(1, size + 1), 2)
-        failures = tuple(SubsetVerdict(pair, r) for pair in pairs if (r := report(*pair)) is not None)
-    else:
-        covered, orthogonal_pairs = _cover_pairs(flat, n, t)
-        failures = () if covered else tuple(_prefix_walk(flat, n, t, orthogonal_pairs))
-    return SetOrthogonalityReport(n, t, size, failures)
+    report, passed, failures = _pair_reports(flat, n), set(), []
+    for run in _runs(size, t - 1):
+        for pair in itertools.combinations(run, 2):
+            if (r := report(*pair)) is None:
+                passed.add(pair)
+            elif t == 2:
+                failures.append(SubsetVerdict(pair, r))
+            else:
+                return SetOrthogonalityReport(n, t, size, tuple(_prefix_walk(flat, n, t, passed)))
+    return SetOrthogonalityReport(n, t, size, tuple(failures))

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -261,6 +262,11 @@ class TestGraph:
         assert main(["graph", "--t", "2", "--in", f4_file]) == 1
         assert "not orthogonal" in capsys.readouterr().err
 
+    def test_non_integer_selection_is_usage_error(self, f5_file, capsys):
+        assert main(["graph", "--t", "2", "--in", f5_file, "--squares", "1,x"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --squares must be comma-separated integers, got '1,x'\n")
+
     def test_bad_format_is_usage_error(self, f4_file):
         with pytest.raises(SystemExit) as excinfo:
             main(["graph", "--t", "3", "--in", f4_file, "--format", "png"])
@@ -285,6 +291,23 @@ class TestStats:
         assert "max edge multiplicity: 1" in out
         assert "simple: yes" in out
         assert "note:" not in out
+
+    def test_an_order_4_mols_triple_contradicts_the_note(self, tmp_path, capsys):
+        # L_a(i, j) = a*i + j over GF(4), a = 1, 2, 3, symbols shifted by 1:
+        # three mutually orthogonal squares of order 4, and 4 + 1 is prime.
+        times = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+        squares = tuple(LatinSquare(4, tuple(tuple((times[a][i] ^ j) + 1 for j in range(4))
+                                             for i in range(4))) for a in (1, 2, 3))
+        path = tmp_path / "gf4.txt"
+        path.write_text(serialize_square_file(MolsSet(4, squares)))
+        assert main(["stats", "--t", "3", "--in", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "simple: yes" in lines
+        assert "max edge multiplicity: 1" in lines
+        assert lines[-1] == (
+            "note: shift-family shape (4+1 prime, t in 3..4): parallel edges are expected "
+            "here; computed max multiplicity is 1, which contradicts that expectation. "
+            "Reported values are computed, not assumed.")
 
     @pytest.mark.parametrize("order,method", [(7, "additive"), (6, "shift")])
     def test_each_part_pair_keys_are_built_once(self, order, method, tmp_path, monkeypatch,
@@ -373,6 +396,14 @@ class TestSquaresStayFlat:
         assert graph.array == superimpose([family[3], family[1]])
 
 
+CHECKS = ("orthogonality verdicts match brute force on generated families",
+          "orthogonality verdicts match brute force on random stacks",
+          "Turan formula matches brute-force edge count for 1 <= m <= n <= 50",
+          "edge multiplicity matches brute-force pair counts",
+          "no 2-orthogonal pair of order 2 exists",
+          "a 2-orthogonal pair of order 3 is found")
+
+
 class TestCheck:
     def test_suite_passes(self, capsys):
         assert main(["check"]) == 0
@@ -380,6 +411,29 @@ class TestCheck:
         assert "FAIL" not in out
         assert out.count("ok: ") == 6
         assert "all 6 checks passed" in out
+
+    # Each case makes one name that check reads answer differently from its
+    # cross-check: the checks that read it must fail, and only those.
+    @pytest.mark.parametrize("name,stand_in,failing", [
+        ("verify_set_orthogonality", lambda original: lambda mols, t: None, {0}),
+        ("is_t_orthogonal", lambda original: lambda array: replace(
+            r := original(array), is_orthogonal=not r.is_orthogonal), {1}),
+        ("turan_edge_count", lambda original: lambda m, n: original(m, n) + 1, {2}),
+        ("edge_multiplicity", lambda original: lambda graph: replace(
+            r := original(graph), max_multiplicity=r.max_multiplicity + 1), {3}),
+        # One more edge, seen once: the pair counts differ, their maximum does not.
+        ("brute_force_multiplicity", lambda original: lambda array: {
+            **original(array), ((0, 0), (1, 0)): 1}, {3}),
+        ("exhaustive_mols_search", lambda original: lambda *args: replace(
+            r := original(*args), found=not r.found), {4, 5}),
+    ])
+    def test_a_disagreeing_answer_fails_its_checks(self, name, stand_in, failing, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(molsnet.cli, name, stand_in(getattr(molsnet.cli, name)))
+        assert main(["check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{'FAIL' if k in failing else 'ok'}: {check}" for k, check in enumerate(CHECKS)
+        ] + [f"{len(failing)} of 6 checks failed"]
 
 
 class TestArgparseBehavior:

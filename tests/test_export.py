@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 import molsnet.export
-from molsnet import (CHAIN, FORMATS, PartiteGraph, TupleArray, build_partite_graph, export_graph, make_complete_multipartite,
-                     make_mols_family, make_turan_graph, superimpose)
+from molsnet import (CHAIN, FORMATS, LatinSquare, PartiteGraph, TupleArray, build_partite_graph,
+                     channels_through, edge_multiplicity, export_graph,
+                     make_complete_multipartite, make_mols_family, make_turan_graph, superimpose)
 from reference import per_edge_export
 
 
@@ -22,6 +23,24 @@ class TestEdgeListFormat:
         assert lines[0] == "A1 B2"
         assert lines == sorted(lines)
         assert lines.count("A1 B4") == 2         # parallel edge repeated
+
+    def test_a_float_symbol_exports_as_its_int(self):
+        # Square 2 of the order-5 family with the 1 of its first row written
+        # 1.0, stacked before itself, is not a grid between parts A and B, so
+        # the symbol reaches the per-edge path as a vertex of part A.
+        family = make_mols_family(5)
+        square, cells = family[1], [list(row) for row in family[1].cells]
+        cells[0][cells[0].index(1)] = 1.0
+        floated = LatinSquare(5, tuple(map(tuple, cells)))
+        graphs = [PartiteGraph(CHAIN, (5, 5, 5), superimpose([first, square, family[0]]))
+                  for first in (floated, square)]
+        floated_graph, int_graph = graphs
+        for fmt in FORMATS:
+            assert export_graph(floated_graph, fmt).content == export_graph(int_graph, fmt).content
+        assert repr(list(floated_graph.sorted_edges())) == repr(list(int_graph.sorted_edges()))
+        assert repr(edge_multiplicity(floated_graph)) == repr(edge_multiplicity(int_graph))
+        assert [chain.describe() for chain in channels_through(floated_graph, (0, 1))] == \
+            [chain.describe() for chain in channels_through(int_graph, (0, 1))]
 
     def test_isolated_vertices_get_declarations(self):
         content = export_graph(make_turan_graph(1, 3), "edges").content

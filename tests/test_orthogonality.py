@@ -11,7 +11,7 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, enumerate_set_orthogonali
                      is_t_orthogonal, make_additive_square, make_mols_family,
                      make_multiplicative_square, make_turan_graph, superimpose, turan_edge_count,
                      verify_set_orthogonality)
-from molsnet.orthogonality import (OrthogonalityReport, _collision_report, _cover_pairs,
+from molsnet.orthogonality import (OrthogonalityReport, _collision_report,
                                    _prefix_walk, _runs, subset_rank)
 from reference import distinct_slope_report, per_subset_verdicts, shift_family_report
 
@@ -240,10 +240,9 @@ class TestVerifySetOrthogonality:
 
 
 def _key_passes(monkeypatch):
-    """Count the tests of verify_set_orthogonality, one per tested node: a
-    pair, in the cover or at t = 2, is decided by one _pair_report call up to
-    order 255 and by one key pass above, and every walk node by one key
-    pass."""
+    """Count the tests of verify_set_orthogonality up to order 255, one per
+    tested node: a pair of the cover is decided by one _pair_report call,
+    and every walk node by one key pass."""
     passes = Counter()
     for name in ("_pair_report", "_appended"):
         def spy(*args, _original=getattr(molsnet.orthogonality, name)):
@@ -254,11 +253,11 @@ def _key_passes(monkeypatch):
 
 
 def _pair_passes(monkeypatch, mols):
-    """Count the tests of each square pair (a, b) in verify of mols: the
-    _pair_report calls on the rows of a and b, and the key passes
-    that add column b to square a's column, scaled once per a.  A square's
-    column is its symbols tuple, so the squares of mols must be distinct
-    objects."""
+    """Count the tests of each square pair (a, b) in verify of mols up to
+    order 255: the _pair_report calls on the rows of a and b, and the walk's
+    key passes that add column b to square a's column, scaled once per a.
+    A square's column is its symbols tuple, so the squares of mols must be
+    distinct objects."""
     passes, first_of, rows_of, held = Counter(), {}, {}, []
     columns = {id(square.symbols): k for k, square in enumerate(mols.squares, start=1)}
     orthogonality = molsnet.orthogonality
@@ -291,6 +290,20 @@ def _pair_passes(monkeypatch, mols):
     monkeypatch.setattr(orthogonality, "_scaled", scaled_spy)
     monkeypatch.setattr(orthogonality, "_appended", appended_spy)
     return passes
+
+
+def _cover(mols, t):
+    """Whether every pair within t-1 balanced runs of the squares is
+    orthogonal, and the pairs that pass before the first one that fails,
+    taken in index order and decided by superimposing each pair."""
+    passed = set()
+    for run in _runs(len(mols.squares), t - 1):
+        for a, b in itertools.combinations(run, 2):
+            pair = [mols.squares[a - 1], mols.squares[b - 1]]
+            if not is_t_orthogonal(superimpose(pair)).is_orthogonal:
+                return False, passed
+            passed.add((a, b))
+    return True, passed
 
 
 class TestPairCover:
@@ -377,9 +390,8 @@ class TestPairCover:
         for source, position in itertools.product(range(len(base)), range(len(base) + 1)):
             copy = LatinSquare(n, base[source].cells)
             mols = MolsSet(n, tuple(base[:position] + [copy] + base[position:] + [shifted]))
-            flat = [square.symbols for square in mols.squares]
-            for t in range(2, len(flat) + 1):
-                covered, passed = _cover_pairs(flat, n, t)
+            for t in range(2, len(mols.squares) + 1):
+                covered, passed = _cover(mols, t)
                 passes = _pair_passes(monkeypatch, mols)
                 report = verify_set_orthogonality(mols, t)
                 monkeypatch.undo()

@@ -51,7 +51,7 @@ from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError,
                      verify_set_orthogonality, vertex_name)
 from molsnet import orthogonality
 from molsnet.files import decode_square_file
-from molsnet.orthogonality import _cover_pairs, _pair_report, _row_bytes
+from molsnet.orthogonality import _pair_report, _row_bytes
 from reference import (count_latin_violations, occurrence_report, per_edge_export,
                        per_subset_verdicts)
 
@@ -369,29 +369,28 @@ def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
     # 256 and 257 from stacked keys.  Square 3 repeats square 1, so (1, 2)
     # and (2, 3) are orthogonal and (1, 3) fails with n distinct pairs.  At
     # t = 2 each of the 3 pairs is decided once, by one row report or one
-    # key pass, and the prefix walk is never entered.
+    # key pass, and the prefix walk is never entered.  At t = 3 the cover
+    # is (1, 2) alone, which passes.
     a, b = _boundary_pair(n)
     assert _holds_every_symbol_pair(a, b)
     mols = MolsSet(n, (a, b, a))
-    flat = [square.symbols for square in mols.squares]
     calls = Counter()
-    for name in ("_pair_report", "_appended", "_prefix_walk"):
+    for name in ("_pair_report", "stacked_keys", "_prefix_walk"):
         def spy(*args, _name=name, _original=getattr(orthogonality, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(orthogonality, name, spy)
-    assert _cover_pairs(flat, n, 2) == (False, {(1, 2)})
-    assert calls == Counter({"_pair_report" if n <= 255 else "_appended": 2})
-    calls.clear()
+    decision = "_pair_report" if n <= 255 else "stacked_keys"
     report = verify_set_orthogonality(mols, 2)
-    assert calls == Counter({"_pair_report" if n <= 255 else "_appended": 3})
+    assert calls == Counter({decision: 3})
+    calls.clear()
+    assert verify_set_orthogonality(mols, 3).all_orthogonal
+    assert calls == Counter({decision: 1})
     monkeypatch.undo()
     assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
     assert [v.indices for v in report.failures] == [(1, 3)]
     assert report.failures[0].report == is_t_orthogonal(superimpose([a, a]))
     assert report.failures[0].report.distinct_count == n
-    assert _cover_pairs(flat, n, 3) == (True, {(1, 2)})
-    assert verify_set_orthogonality(mols, 3).all_orthogonal
 
 
 def assert_certificate_replays(graph):
