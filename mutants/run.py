@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORTHOGONALITY = "src/molsnet/orthogonality.py"
 SQUARES = "src/molsnet/squares.py"
 CLI = "src/molsnet/cli.py"
+GRAPHS = "src/molsnet/graphs.py"
 PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -116,6 +117,8 @@ MUTANTS = (
            "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))",
            "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column)) and column",
            ("tests/test_export.py",)),
+    Mutant("an unhashable symbol not caught", ORTHOGONALITY,
+           "except (KeyError, TypeError):", "except KeyError:", ("tests/test_orthogonality.py",)),
     Mutant("first bad entry by 1 <= s <= n", ORTHOGONALITY,
            "if any(s not in range(1, n + 1) for s in entry):",
            "if any(not 1 <= s <= n for s in entry):", ("tests/test_orthogonality.py",)),
@@ -131,13 +134,21 @@ MUTANTS = (
     Mutant("symbol 0 taken as a byte of 1..n", SQUARES,
            "full = bytes(range(1, n + 1))", "full = bytes(range(0, n + 1))",
            ("tests/test_squares.py",)),
-    # The grid export and part labels.
-    Mutant("grid count threshold 0", "src/molsnet/export.py",
-           "if len(set(keys)) == n * n:", "if len(set(keys)) >= 0:", ("tests/test_export.py",)),
-    Mutant("heads and tails swapped in the grid", "src/molsnet/export.py",
-           "yield _grid_run(tails[1:], heads[1:], pair_sep, line_sep)",
-           "yield _grid_run(heads[1:], tails[1:], pair_sep, line_sep)", ("tests/test_export.py",)),
-    Mutant("part labels not cached", "src/molsnet/graphs.py",
+    # The per-tail heads of chain part pairs and the multiplicity report.
+    Mutant("tail-row permutation check dropped", GRAPHS,
+           "not any(map(full.translate, repeat(None), rows_a))", "True", ("tests/test_export.py",)),
+    Mutant("repeated heads left unsorted", GRAPHS,
+           "bytes(sorted(heads)) if full.translate(None, heads) else full",
+           "heads if full.translate(None, heads) else full", ("tests/test_export.py",)),
+    Mutant("full shortcut taken for every tail", GRAPHS,
+           "bytes(sorted(heads)) if full.translate(None, heads) else full", "full",
+           ("tests/test_export.py",)),
+    Mutant("repeated keys left in cell order", GRAPHS,
+           "keys = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
+           "keys = list(compress(counts, map(gt, counts.values(), repeat(1))))",
+           ("tests/test_graphs.py",)),
+    # Part labels.
+    Mutant("part labels not cached", GRAPHS,
            "@cache\ndef part_label(", "def part_label(", ("tests/test_graphs.py",)),
     # The comparisons of molsnet check, each kept true.
     Mutant("check: verify against enumeration", CLI,

@@ -22,9 +22,9 @@ from pathlib import Path
 from .errors import InputError, MolsNetError
 from .export import FORMATS, export_graph
 from .files import decode_square_file, parse_square_file, serialize_square_file
-from .graphs import (PartiteGraph, _chain_stats, build_partite_graph, channels_through,
-                     edge_multiplicity, is_bipartite, make_turan_graph, parse_part_label,
-                     turan_edge_count, vertex_name)
+from .graphs import (PartiteGraph, _chain_stats, _vertex_names, build_partite_graph,
+                     channels_through, edge_multiplicity, is_bipartite, make_turan_graph,
+                     parse_part_label, turan_edge_count, vertex_name)
 from .oracle import (brute_force_distinctness, brute_force_multiplicity, count_edges_brute,
                      enumerate_set_orthogonality, exhaustive_mols_search)
 from .orthogonality import (is_t_orthogonal, subset_rank, superimpose,
@@ -155,7 +155,7 @@ def cmd_stats(args) -> int:
     squares = _load_set(args.infile).squares
     graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     mult = edge_multiplicity(graph)
-    stats = _chain_stats(graph, simple=not mult.duplicated_edges)
+    stats = _chain_stats(graph, simple=not mult.repeated)
     bip = is_bipartite(graph)
     parts = ", ".join(f"{label}={size}"
                       for label, size in zip(graph.part_labels, stats.part_sizes))
@@ -168,11 +168,13 @@ def cmd_stats(args) -> int:
         print(f"  {label}: {' '.join(str(d) for d in sequence)}")
     print(f"simple: {'yes' if stats.simple else 'no'}")
     print(f"max edge multiplicity: {mult.max_multiplicity}")
-    if mult.duplicated_edges:
-        labels = graph.part_labels
+    if mult.repeated:
+        names = _vertex_names(graph)
+        line = "  {} -> {} (x{})".format
         print("parallel edges:")
-        print("\n".join(f"  {labels[p]}{s} -> {labels[q]}{r} (x{count})"
-                        for ((p, s), (q, r)), count in mult.duplicated_edges))
+        for c, tails, heads, counts in mult.repeated:
+            print("\n".join(map(line, map(names[c].__getitem__, tails),
+                                map(names[c + 1].__getitem__, heads), counts)))
     print(f"bipartite: {'yes' if bip.bipartite else 'no'}")
     n, t = graph.array.order, args.t
     if is_prime(n + 1) and 3 <= t <= n:

@@ -4,21 +4,18 @@ edges repeated.
 
 Every format renders its edges as one run of text per part pair of a chain
 graph, in `sorted_edges` order, and the formats differ only in the two
-separators of a run.  A part pair that holds every symbol pair once is the
-n x n grid, joined once per tail; any other is decoded from its sorted
-keys and joined once per run.  The text is kept as a list of chunks and
-joined once at the end.
+separators of a run.  A run is joined tail by tail from the graph's heads
+per tail (`PartiteGraph._tail_heads`).  The text is kept as a list of
+chunks and joined once at the end.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
-from operator import floordiv, mod
 from typing import Iterator
 
-from .graphs import CHAIN, PartiteGraph, part_label, vertex_name
+from .graphs import CHAIN, PartiteGraph, _vertex_names, part_label
 
 FORMATS = ("dot", "edges", "json")
 
@@ -40,46 +37,28 @@ def export_graph(graph: PartiteGraph, fmt: str) -> GraphExport:
     return GraphExport(fmt, "".join(chunks))
 
 
-def _vertex_names(graph: PartiteGraph) -> list[list[str]]:
-    """names[p][s] is vertex_name((p, s)); index 0 of each part is unused."""
-    return [[""] + [vertex_name((p, symbol)) for symbol in range(1, size + 1)]
-            for p, size in enumerate(graph.part_sizes)]
-
-
 def _edge_runs(graph: PartiteGraph, names: list[list[str]], pair_sep: str,
                line_sep: str) -> Iterator[str]:
     """The edges in `sorted_edges` order as text, in nonempty runs: each edge
     is tail + pair_sep + head, and line_sep goes between edges.
 
-    A chain graph gives one run per part pair.  When the pair's n^2 keys are
-    distinct, it holds all n^2 symbol pairs once each, so its sorted edges
-    are the grid: every tail in order, each with every head in order.  Any
-    other pair is decoded from its sorted keys tail * (n+1) + head.  A
-    complete multipartite graph gives one run walking `sorted_edges`, or
-    none when it has a single part.
+    A chain graph gives one run per part pair, joined tail by tail from its
+    heads per tail; a tail holding every head once joins the part's name
+    list itself.  A complete multipartite graph gives one run walking
+    `sorted_edges`, or none when it has a single part.
     """
     if graph.array is None:
         if graph.edge_count:
             yield line_sep.join(pair_sep.join((names[p][u], names[q][v]))
                                 for (p, u), (q, v) in graph.sorted_edges())
         return
-    n = graph.array.order
-    base = repeat(n + 1)
-    for c, keys in enumerate(graph._edge_keys()):
-        tails, heads = names[c], names[c + 1]
-        if len(set(keys)) == n * n:
-            yield _grid_run(tails[1:], heads[1:], pair_sep, line_sep)
-        else:
-            keys.sort()
-            yield line_sep.join(map(pair_sep.join, zip(
-                map(tails.__getitem__, map(floordiv, keys, base)),
-                map(heads.__getitem__, map(mod, keys, base)))))
-
-
-def _grid_run(tails: list[str], heads: list[str], pair_sep: str, line_sep: str) -> str:
-    """Every (tail, head) pair, tails in order, each with every head in order."""
-    return line_sep.join([tail + pair_sep + (line_sep + tail + pair_sep).join(heads)
-                          for tail in tails])
+    for c, (full, tail_heads) in enumerate(graph._tail_heads()):
+        heads = names[c + 1]
+        every_head, name_of = heads[1:], heads.__getitem__
+        yield line_sep.join([
+            tail + pair_sep + (line_sep + tail + pair_sep).join(
+                every_head if symbols is full else map(name_of, symbols))
+            for tail, symbols in zip(names[c][1:], tail_heads) if symbols])
 
 
 def _isolated_names(graph: PartiteGraph, names: list[list[str]]) -> list[str]:

@@ -9,14 +9,17 @@ degrees ignore direction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress, pairwise, repeat
 from math import comb
+from operator import floordiv, gt, mod
 from typing import Iterator, Sequence
 
 from .errors import InputError, NotOrthogonalError
-from .orthogonality import Cell, TupleArray, cell_of, is_t_orthogonal, stacked_keys
+from .orthogonality import Cell, TupleArray, _row_bytes, cell_of, is_t_orthogonal, stacked_keys
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
 Edge = tuple[Vertex, Vertex]
@@ -51,6 +54,12 @@ def parse_part_label(label: str) -> int:
 
 def vertex_name(vertex: Vertex) -> str:
     return f"{part_label(vertex[0])}{vertex[1]}"
+
+
+def _vertex_names(graph: PartiteGraph) -> list[list[str]]:
+    """names[p][s] is vertex_name((p, s)); index 0 of each part is unused."""
+    return [[""] + [vertex_name((p, symbol)) for symbol in range(1, size + 1)]
+            for p, size in enumerate(graph.part_sizes)]
 
 
 @dataclass(frozen=True)
@@ -94,21 +103,55 @@ class PartiteGraph:
     def sorted_edges(self) -> Iterator[Edge]:
         """Every edge once per occurrence, ascending, so parallel edges come
         out as adjacent runs: the one definition of the edge order.  A chain
-        graph's edges (c, u) -> (c+1, v) are decoded from their keys
-        u * (n+1) + v, sorted per part pair c, as stacked keys sort as their
-        symbol pairs do; the reports count columns."""
+        graph's edges (c, u) -> (c+1, v) are read from _tail_heads: part pair
+        by part pair, tail by tail, each tail's heads ascending."""
         if self.array is not None:
-            base = self.array.order + 1
-            for c, keys in enumerate(self._edge_keys()):
-                keys.sort()
-                for key in keys:
-                    u, v = divmod(key, base)
-                    yield (c, u), (c + 1, v)
+            for c, (_, tail_heads) in enumerate(self._tail_heads()):
+                for u, heads in enumerate(tail_heads, 1):
+                    for v in heads:
+                        yield (c, u), (c + 1, v)
             return
         for p, u in self.vertices():
             for q in range(p + 1, self.num_parts):
                 for v in range(1, self.part_sizes[q] + 1):
                     yield (p, u), (q, v)
+
+    def _tail_heads(self) -> Iterator[tuple[bytes | None, list[Sequence[int]]]]:
+        """Per part pair c of a chain graph, (full, heads): heads[u - 1] holds
+        the heads v of tail u's edges (c, u) -> (c+1, v), ascending, one per
+        edge, and is empty when u is absent from column c.
+
+        Row route: when bytes() takes both columns and every row of column c
+        is a permutation of 1..n, the heads are read from rows, as
+        orthogonality._pair_report reads a pair.  full is bytes 1..n, and
+        full.translate(maketrans(A_r, B_r)) spells the symbols of column c+1
+        in row r ordered by the symbol of column c, so joined over the rows
+        it holds tail u's n heads at stride n, one per row.  A tail whose
+        heads are a permutation is given as full itself, with no sort; any
+        other tail's heads are sorted.
+
+        Key route, every other part pair (an order above 255, or a row of
+        column c that is no permutation): the stacked keys u * (n+1) + v of
+        the pair sort as their symbol pairs do, so the sorted keys are cut
+        at each tail's first key and decoded; full is then None.
+        """
+        n, columns = self.array.order, self.array.columns
+        full = bytes(range(1, n + 1)) if n <= 255 else None
+        rows = [_row_bytes(column, n) if full else None for column in columns]
+        base = n + 1
+        for c in range(len(columns) - 1):
+            rows_a, rows_b = rows[c], rows[c + 1]
+            if rows_a is not None and rows_b is not None and \
+                    not any(map(full.translate, repeat(None), rows_a)):
+                joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
+                yield full, [bytes(sorted(heads)) if full.translate(None, heads) else full
+                             for heads in (joined[u::n] for u in range(n))]
+            else:
+                keys = stacked_keys(columns[c], columns[c + 1], n)
+                keys.sort()
+                heads = list(map(mod, keys, repeat(base)))
+                cuts = [bisect_left(keys, u * base) for u in range(1, n + 2)]
+                yield None, [heads[i:j] for i, j in pairwise(cuts)]
 
     def _edge_keys(self) -> Iterator[list[int]]:
         """Per part pair c of a chain graph, the keys of its edges in cell order."""
@@ -161,8 +204,23 @@ def build_partite_graph(array: TupleArray) -> PartiteGraph:
 
 @dataclass(frozen=True)
 class MultiplicityReport:
+    """The parallel edges of a chain graph, kept as per part pair sequences.
+
+    repeated holds one (c, tails, heads, counts) for each part pair c that
+    has a repeated edge, in part order: the edge (c, tails[k]) ->
+    (c+1, heads[k]) occurs counts[k] > 1 times, in ascending (tail, head)
+    order.  duplicated_edges derives the ((tail, head), count) pairs on
+    demand, so two reports are equal exactly when their max_multiplicity
+    and duplicated_edges are.
+    """
+
     max_multiplicity: int
-    duplicated_edges: tuple[tuple[Edge, int], ...]
+    repeated: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+    @property
+    def duplicated_edges(self) -> tuple[tuple[Edge, int], ...]:
+        return tuple((((c, u), (c + 1, v)), count) for c, tails, heads, counts in self.repeated
+                     for u, v, count in zip(tails, heads, counts))
 
 
 def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
@@ -170,20 +228,22 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
 
     The edges between parts c and c+1 are the symbol pairs of columns c
     and c+1, so one count of their stacked keys per part pair gives every
-    multiplicity; keys sort as their pairs do.
+    multiplicity.  The repeated keys are picked from the count, sorted as
+    ints, which sorts them as their pairs, and decoded u * (n+1) + v.
     """
     if graph.kind != CHAIN:
         raise ValueError("edge multiplicity applies to chain-construction graphs")
     n = graph.array.order
-    duplicated = []
+    base = repeat(n + 1)
+    repeated = []
     for c, keys in enumerate(graph._edge_keys()):
         counts = Counter(keys)
         if len(counts) < n * n:
-            repeated = sorted(item for item in counts.items() if item[1] > 1)
-            duplicated += [(((c, key // (n + 1)), (c + 1, key % (n + 1))), count)
-                           for key, count in repeated]
-    return MultiplicityReport(max((count for _, count in duplicated), default=1),
-                              tuple(duplicated))
+            keys = sorted(compress(counts, map(gt, counts.values(), repeat(1))))
+            repeated.append((c, tuple(map(floordiv, keys, base)), tuple(map(mod, keys, base)),
+                             tuple(map(counts.__getitem__, keys))))
+    return MultiplicityReport(max((max(counts) for *_, counts in repeated), default=1),
+                              tuple(repeated))
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,14 @@ class TupleArray:
         1.0 and every column of an order above 255, is read through the
         table of 1..order: each symbol must equal one of 1..order, the only
         symbols on which the stacked keys are injective, and is stored as
-        that int, so 1.0 is kept as 1.
+        that int, so 1.0 is kept as 1.  A symbol the table does not hold, or
+        cannot hash such as a list, is reported as the first bad entry.
         """
         try:
             columns = tuple(column if _is_byte_column(order, column) else
                             tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))
                             for column in columns)
-        except KeyError:
+        except (KeyError, TypeError):
             _raise_first_bad_entry(order, arity, list(zip(*columns)))
         for name, value in (("order", order), ("arity", arity), ("columns", columns)):
             object.__setattr__(self, name, value)

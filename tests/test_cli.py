@@ -16,8 +16,9 @@ from golden import ORDER4_SQUARE_FILE
 from molsnet import (InputError, LatinSquare, MolsSet, build_partite_graph,
                      channels_through, make_mols_family, make_turan_graph, parse_square_file,
                      serialize_square_file, superimpose, turan_edge_count,
-                     verify_set_orthogonality)
+                     verify_set_orthogonality, vertex_name)
 from molsnet.cli import main
+from molsnet.oracle import brute_force_multiplicity
 
 
 @pytest.fixture()
@@ -323,6 +324,20 @@ class TestStats:
         monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
         assert main(["stats", "--t", "4", "--in", str(path)]) == 0
         assert len(built) == 3
+
+    def test_parallel_edges_of_two_letter_parts_match_brute_force(self, tmp_path, capsys):
+        # Order 28 at t = 28 has parts A..Z, AA and AB, so the lines name
+        # vertices of two-letter parts on both ends.
+        family = make_mols_family(28, "shift")
+        path = tmp_path / "shift28.txt"
+        path.write_text(serialize_square_file(family))
+        assert main(["stats", "--t", "28", "--in", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = lines[lines.index("parallel edges:") + 1:lines.index("bipartite: yes")]
+        counts = brute_force_multiplicity(superimpose(list(family.squares)))
+        assert listed == [f"  {vertex_name(u)} -> {vertex_name(v)} (x{k})"
+                          for (u, v), k in sorted(counts.items()) if k > 1]
+        assert listed[-1].startswith("  AA") and " -> AB" in listed[-1]
 
     def test_t_larger_than_file(self, f5_file, capsys):
         assert main(["stats", "--t", "5", "--in", f5_file]) == 1

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import molsnet.export
+import molsnet.graphs
 from molsnet import (CHAIN, FORMATS, LatinSquare, PartiteGraph, TupleArray, build_partite_graph,
                      channels_through, edge_multiplicity, export_graph,
                      make_complete_multipartite, make_mols_family, make_turan_graph, superimpose)
@@ -156,25 +157,65 @@ def test_mixed_chain_graphs_match_the_per_edge_exporter():
             assert export_graph(graph, fmt).content == per_edge_export(graph, fmt), (name, fmt)
 
 
-def test_exactly_the_part_pairs_holding_every_symbol_pair_are_rendered_as_grids(monkeypatch):
-    # A pair of equal squares repeats keys, and no two consecutive shift
-    # squares are orthogonal; every other consecutive pair is a grid.
-    grid_tails = []
-    original = molsnet.export._grid_run
+def _key_passes(monkeypatch):
+    """The orders of the stacked_keys calls the graphs module makes from now on."""
+    passes = []
+    original = molsnet.graphs.stacked_keys
 
-    def spy(tails, heads, pair_sep, line_sep):
-        grid_tails.append(tails[0])
-        return original(tails, heads, pair_sep, line_sep)
-    monkeypatch.setattr(molsnet.export, "_grid_run", spy)
-    expected = {"h1 h1 h2 h3 h3, order 5": ["B1", "C1"], "h1 h1 h2 h3 h3, order 7": ["B1", "C1"],
-                "h1 h1 h2 h3 h3, order 11": ["B1", "C1"],
-                "additive family, order 7": ["A1", "B1", "C1", "D1", "E1"],
-                "shift family, order 6": [], "order 1": ["A1"]}
-    for name, graph in mixed_chain_graphs().items():
+    def spy(keys, column, n):
+        passes.append(n)
+        return original(keys, column, n)
+    monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
+    return passes
+
+
+def test_part_pairs_whose_tails_rows_are_permutations_make_no_key_pass(monkeypatch):
+    # Every mixed chain graph stacks Latin squares, so each part pair is read
+    # from rows, orthogonal, equal and shift neighbours alike.  The graphs
+    # are built first: build_partite_graph's check makes keys of its own.
+    graphs = mixed_chain_graphs()
+    passes = _key_passes(monkeypatch)
+    for graph in graphs.values():
         for fmt in FORMATS:
-            grid_tails.clear()
             export_graph(graph, fmt)
-            assert grid_tails == expected[name], (name, fmt)
+        list(graph.sorted_edges())
+    assert passes == []
+
+
+def _cyclic(n, h, floated=False):
+    """i + h*j mod n, plus 1, as a square; floated writes its first symbol
+    as a float."""
+    cells = [[(i + h * j) % n + 1 for j in range(n)] for i in range(n)]
+    if floated:
+        cells[0][0] = float(cells[0][0])
+    return LatinSquare(n, tuple(map(tuple, cells)))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_both_sides_of_the_bytes_limit_route_part_pairs_exactly(n, monkeypatch):
+    # Bytes hold symbols up to 255.  The (a, a, b) stack and the same stack
+    # with a 1.0 in its first square (stored as the int 1, so it exports as
+    # the first) are read from rows at order 255 and make one key pass per
+    # part pair above it.  In the stack (i, i, j) every row of columns 0 and
+    # 1 repeats one symbol, so both its part pairs make one key pass at
+    # every order.
+    a, b = _cyclic(n, 1), _cyclic(n, 2)
+    rows = tuple(tuple((i, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
+    stacks = {"a a b": superimpose([a, a, b]),
+              "1.0 a b": superimpose([_cyclic(n, 1, floated=True), a, b]),
+              "i i j": TupleArray(n, 3, rows)}
+    passes_per_pair = {"a a b": int(n > 255), "1.0 a b": int(n > 255), "i i j": 1}
+    contents = {}
+    for name, array in stacks.items():
+        graph = PartiteGraph(CHAIN, (n,) * 3, array)
+        passes = _key_passes(monkeypatch)
+        contents[name] = {fmt: export_graph(graph, fmt).content for fmt in FORMATS}
+        assert passes == [n] * (2 * passes_per_pair[name] * len(FORMATS)), name
+        monkeypatch.undo()
+        if name != "1.0 a b":
+            for fmt in FORMATS:
+                assert contents[name][fmt] == per_edge_export(graph, fmt), (name, fmt)
+    assert contents["1.0 a b"] == contents["a a b"]
 
 
 def test_the_per_edge_exporter_makes_no_grid_decision(monkeypatch):
@@ -184,7 +225,6 @@ def test_the_per_edge_exporter_makes_no_grid_decision(monkeypatch):
     def refuse(*args):
         raise AssertionError("the reference must not reach the export's runs")
     monkeypatch.setattr(molsnet.export, "_edge_runs", refuse)
-    monkeypatch.setattr(molsnet.export, "_grid_run", refuse)
     for fmt in FORMATS:
         assert per_edge_export(graph, fmt) == expected[fmt]
 

@@ -545,6 +545,8 @@ class TestTupleArrayChecks:
             # Within 1..2 by min and max, but the stacked keys are injective
             # only on the symbols 1..2 themselves.
             ((((1, 2), (1.25, 1.25)), ((2, 1), (2, 2))), "symbols must lie in 1..2, got (1.25, 1.25)"),
+            # A symbol the range table cannot hash.
+            ((((1, 2), ([1], 1)), ((2, 1), (2, 2))), "symbols must lie in 1..2, got ([1], 1)"),
         ]
         for grid, message in cases:
             with pytest.raises(ValueError) as excinfo:
