@@ -144,8 +144,8 @@ MUTANTS = (
            "bytes(sorted(heads)) if full.translate(None, heads) else full", "full",
            ("tests/test_export.py",)),
     Mutant("repeated keys left in cell order", GRAPHS,
-           "keys = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
-           "keys = list(compress(counts, map(gt, counts.values(), repeat(1))))",
+           "parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
+           "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
            ("tests/test_graphs.py",)),
     # Part labels.
     Mutant("part labels not cached", GRAPHS,

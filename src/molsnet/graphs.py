@@ -239,9 +239,10 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     for c, keys in enumerate(graph._edge_keys()):
         counts = Counter(keys)
         if len(counts) < n * n:
-            keys = sorted(compress(counts, map(gt, counts.values(), repeat(1))))
-            repeated.append((c, tuple(map(floordiv, keys, base)), tuple(map(mod, keys, base)),
-                             tuple(map(counts.__getitem__, keys))))
+            parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))
+            repeated.append((c, tuple(map(floordiv, parallel, base)),
+                             tuple(map(mod, parallel, base)),
+                             tuple(map(counts.__getitem__, parallel))))
     return MultiplicityReport(max((max(counts) for *_, counts in repeated), default=1),
                               tuple(repeated))
 
