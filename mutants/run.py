@@ -65,13 +65,14 @@ MUTANTS = (
     Mutant("rows built on every pair", ORTHOGONALITY,
            "rows = cache(lambda k: _row_bytes(flat[k - 1], n))",
            "rows = (lambda k: _row_bytes(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
-    # The row-permutation pair report (_pair_report).
+    # The one reader of a pair from rows (_pair_columns) and the pair report.
     Mutant("rows of the joined grid instead of its columns", ORTHOGONALITY,
-           "columns = [joined[s::n] for s in range(n)]",
-           "columns = [joined[s * n:(s + 1) * n] for s in range(n)]", PAIR_TESTS),
+           "return [joined[s::len(full)] for s in range(len(full))]",
+           "return [joined[s * len(full):(s + 1) * len(full)] for s in range(len(full))]",
+           PAIR_TESTS),
     Mutant("stride n+1", ORTHOGONALITY,
-           "columns = [joined[s::n] for s in range(n)]",
-           "columns = [joined[s::n + 1] for s in range(n)]", PAIR_TESTS),
+           "return [joined[s::len(full)] for s in range(len(full))]",
+           "return [joined[s::len(full) + 1] for s in range(len(full))]", PAIR_TESTS),
     Mutant("the last column left out of the count", ORTHOGONALITY,
            "itertools.repeat(None), columns)", "itertools.repeat(None), columns[:-1])",
            PAIR_TESTS),
@@ -134,19 +135,29 @@ MUTANTS = (
     Mutant("symbol 0 taken as a byte of 1..n", SQUARES,
            "full = bytes(range(1, n + 1))", "full = bytes(range(0, n + 1))",
            ("tests/test_squares.py",)),
-    # The per-tail heads of chain part pairs and the multiplicity report.
+    # The route of chain part pairs, their per-tail heads, the multiplicity
+    # report and the stats.
     Mutant("tail-row permutation check dropped", GRAPHS,
            "not any(map(full.translate, repeat(None), rows_a))", "True", ("tests/test_export.py",)),
     Mutant("repeated heads left unsorted", GRAPHS,
-           "bytes(sorted(heads)) if full.translate(None, heads) else full",
+           "sorted(heads) if full.translate(None, heads) else full",
            "heads if full.translate(None, heads) else full", ("tests/test_export.py",)),
     Mutant("full shortcut taken for every tail", GRAPHS,
-           "bytes(sorted(heads)) if full.translate(None, heads) else full", "full",
+           "sorted(heads) if full.translate(None, heads) else full", "full",
            ("tests/test_export.py",)),
+    Mutant("a failing row-route pair taken as orthogonal", GRAPHS,
+           "return not any(map(full.translate, repeat(None), pair)) if full else",
+           "return True if full else", ("tests/test_graphs.py",)),
+    Mutant("tail offsets shifted by one tail", GRAPHS,
+           "for tail in range(n + 1, (n + 1) ** 2, n + 1)",
+           "for tail in range(2 * (n + 1), (n + 1) * (n + 2), n + 1)", ("tests/test_graphs.py",)),
+    Mutant("stats read simplicity from the first part pair only", GRAPHS,
+           "all(starmap(_holds_every_pair, graph._part_pairs()))",
+           "next(starmap(_holds_every_pair, graph._part_pairs()))", ("tests/test_export.py",)),
     Mutant("repeated keys left in cell order", GRAPHS,
            "parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
            "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
-           ("tests/test_graphs.py",)),
+           ("tests/test_export.py",)),
     # Part labels.
     Mutant("part labels not cached", GRAPHS,
            "@cache\ndef part_label(", "def part_label(", ("tests/test_graphs.py",)),

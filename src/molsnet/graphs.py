@@ -13,13 +13,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, pairwise, repeat
+from itertools import compress, pairwise, repeat, starmap
 from math import comb
-from operator import floordiv, gt, mod
+from operator import add, floordiv, gt, mod
 from typing import Iterator, Sequence
 
 from .errors import InputError, NotOrthogonalError
-from .orthogonality import Cell, TupleArray, _row_bytes, cell_of, is_t_orthogonal, stacked_keys
+from .orthogonality import (Cell, TupleArray, _pair_columns, _row_bytes, cell_of, is_t_orthogonal,
+                            stacked_keys)
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
 Edge = tuple[Vertex, Vertex]
@@ -116,47 +117,46 @@ class PartiteGraph:
                 for v in range(1, self.part_sizes[q] + 1):
                     yield (p, u), (q, v)
 
+    def _part_pairs(self) -> Iterator[tuple[bytes | None, list]]:
+        """Per part pair c of a chain graph, the pair by the one route rule
+        that every reader of its edges (c, u) -> (c+1, v) follows.
+
+        Row route: when bytes() takes both columns and every row of column c
+        is a permutation of 1..n, (full, columns), with full bytes 1..n and
+        columns the pair's stride columns (orthogonality._pair_columns):
+        columns[u - 1] holds the heads of tail u's n edges, one per row.
+        Key route, every other part pair (an order above 255, or a row of
+        column c that is no permutation): (None, keys), the pair's stacked
+        keys u * (n+1) + v in cell order, made in one pass.
+        """
+        n, columns = self.array.order, self.array.columns
+        full = bytes(range(1, n + 1)) if n <= 255 else None
+        rows = (_row_bytes(column, n) if full else None for column in columns)
+        for c, (rows_a, rows_b) in enumerate(pairwise(rows)):
+            if rows_a and rows_b and not any(map(full.translate, repeat(None), rows_a)):
+                yield full, _pair_columns(rows_a, rows_b, full)
+            else:
+                yield None, stacked_keys(columns[c], columns[c + 1], n)
+
     def _tail_heads(self) -> Iterator[tuple[bytes | None, list[Sequence[int]]]]:
         """Per part pair c of a chain graph, (full, heads): heads[u - 1] holds
         the heads v of tail u's edges (c, u) -> (c+1, v), ascending, one per
         edge, and is empty when u is absent from column c.
 
-        Row route: when bytes() takes both columns and every row of column c
-        is a permutation of 1..n, the heads are read from rows, as
-        orthogonality._pair_report reads a pair.  full is bytes 1..n, and
-        full.translate(maketrans(A_r, B_r)) spells the symbols of column c+1
-        in row r ordered by the symbol of column c, so joined over the rows
-        it holds tail u's n heads at stride n, one per row.  A tail whose
-        heads are a permutation is given as full itself, with no sort; any
-        other tail's heads are sorted.
-
-        Key route, every other part pair (an order above 255, or a row of
-        column c that is no permutation): the stacked keys u * (n+1) + v of
-        the pair sort as their symbol pairs do, so the sorted keys are cut
-        at each tail's first key and decoded; full is then None.
+        On the row route (_part_pairs) a tail whose heads are a permutation
+        is given as full itself, with no sort; any other tail's n heads are
+        sorted.  On the key route the keys sort as their symbol pairs do, so
+        the sorted keys are cut at each tail's first key and decoded; full
+        is then None.
         """
-        n, columns = self.array.order, self.array.columns
-        full = bytes(range(1, n + 1)) if n <= 255 else None
-        rows = [_row_bytes(column, n) if full else None for column in columns]
-        base = n + 1
-        for c in range(len(columns) - 1):
-            rows_a, rows_b = rows[c], rows[c + 1]
-            if rows_a is not None and rows_b is not None and \
-                    not any(map(full.translate, repeat(None), rows_a)):
-                joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
-                yield full, [bytes(sorted(heads)) if full.translate(None, heads) else full
-                             for heads in (joined[u::n] for u in range(n))]
+        base = self.array.order + 1
+        for full, pair in self._part_pairs():
+            if full:
+                yield full, [sorted(heads) if full.translate(None, heads) else full for heads in pair]
             else:
-                keys = stacked_keys(columns[c], columns[c + 1], n)
-                keys.sort()
-                heads = list(map(mod, keys, repeat(base)))
-                cuts = [bisect_left(keys, u * base) for u in range(1, n + 2)]
-                yield None, [heads[i:j] for i, j in pairwise(cuts)]
-
-    def _edge_keys(self) -> Iterator[list[int]]:
-        """Per part pair c of a chain graph, the keys of its edges in cell order."""
-        n, columns = self.array.order, self.array.columns
-        return (stacked_keys(columns[c], columns[c + 1], n) for c in range(self.array.arity - 1))
+                pair.sort()
+                cuts = [bisect_left(pair, u * base) for u in range(1, base + 1)]
+                yield None, [[key % base for key in pair[i:j]] for i, j in pairwise(cuts)]
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -223,21 +223,36 @@ class MultiplicityReport:
                      for u, v, count in zip(tails, heads, counts))
 
 
+def _holds_every_pair(full: bytes | None, pair: list) -> bool:
+    """Whether a part pair from PartiteGraph._part_pairs holds all n^2 symbol
+    pairs: on the row route when no stride column misses a symbol, on the
+    key route when its keys are distinct."""
+    return not any(map(full.translate, repeat(None), pair)) if full else len(set(pair)) == len(pair)
+
+
 def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     """Parallel-edge report for a chain graph, sorted by endpoints.
 
     The edges between parts c and c+1 are the symbol pairs of columns c
-    and c+1, so one count of their stacked keys per part pair gives every
-    multiplicity.  The repeated keys are picked from the count, sorted as
-    ints, which sorts them as their pairs, and decoded u * (n+1) + v.
+    and c+1, so one count of their keys u * (n+1) + v per part pair gives
+    every multiplicity.  A row-route part pair (PartiteGraph._part_pairs)
+    none of whose stride columns misses a symbol has no repeated edge and
+    is not counted; any other holds tail u's heads in its column u - 1, so
+    its keys are the joined columns plus one offset per tail, n in a row,
+    from one list of offsets made for the graph on first use.
+    The repeated keys are picked from the count, sorted as ints, which
+    sorts them as their pairs, and decoded.
     """
     if graph.kind != CHAIN:
         raise ValueError("edge multiplicity applies to chain-construction graphs")
     n = graph.array.order
     base = repeat(n + 1)
+    offsets = cache(lambda: [tail for tail in range(n + 1, (n + 1) ** 2, n + 1) for _ in range(n)])
     repeated = []
-    for c, keys in enumerate(graph._edge_keys()):
-        counts = Counter(keys)
+    for c, (full, pair) in enumerate(graph._part_pairs()):
+        if full and _holds_every_pair(full, pair):
+            continue
+        counts = Counter(map(add, offsets(), b"".join(pair)) if full else pair)
         if len(counts) < n * n:
             parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))
             repeated.append((c, tuple(map(floordiv, parallel, base)),
@@ -308,15 +323,16 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
     In a chain graph each cell holding s at part p sends one edge to each
     neighbouring part, so the degree of (p, s) is the count of s in column
     p, once in the end parts and twice inside; the graph is simple when
-    every consecutive column pair holds n^2 distinct symbol pairs.  In a
-    complete multipartite graph a vertex meets every vertex outside its part.
+    every consecutive column pair holds n^2 distinct symbol pairs: on the
+    row route (PartiteGraph._part_pairs) when no stride column misses a
+    symbol, on the key route when the keys are distinct.  In a complete
+    multipartite graph a vertex meets every vertex outside its part.
     """
     if graph.array is None:
         total = graph.vertex_count
         degrees = tuple((total - size,) * size for size in graph.part_sizes)
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
-    n = graph.array.order
-    return _chain_stats(graph, all(len(set(keys)) == n * n for keys in graph._edge_keys()))
+    return _chain_stats(graph, all(starmap(_holds_every_pair, graph._part_pairs())))
 
 
 def _chain_stats(graph: PartiteGraph, simple: bool) -> GraphStats:

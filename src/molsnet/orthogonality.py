@@ -273,26 +273,38 @@ def _row_bytes(column: Column, n: int) -> list[bytes] | None:
     return [symbols[k:k + n] for k in range(0, n * n, n)]
 
 
+def _pair_columns(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes) -> list[bytes]:
+    """The one reader of a pair of squares A, B from their rows: the n
+    stride-n columns of the pair's joined grid.
+
+    full is bytes 1..n, and every row of A is a permutation of 1..n, so
+    full.translate(maketrans(A_r, B_r)) spells B_r o A_r^-1 (1..n): its
+    byte s-1 is the symbol of B in the cell of row r where A holds s.
+    Joined over the rows, the bytes s-1, s-1+n, ... (stride n) form
+    columns[s - 1]: the symbols of B in the n cells where A holds s, one
+    per row in row order.  Deleting columns[s - 1] from full leaves the
+    symbols that pair with s nowhere, so A and B hold all n^2 symbol pairs
+    exactly when no column misses a symbol.
+    """
+    joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
+    return [joined[s::len(full)] for s in range(len(full))]
+
+
 def _pair_report(rows_a: Sequence[bytes], rows_b: Sequence[bytes],
                  full: bytes) -> OrthogonalityReport | None:
     """The report of two Latin squares given by their rows, or None when they
     hold all n^2 symbol pairs.
 
-    full is bytes 1..n.  Row r of each square is a permutation of 1..n, so
-    full.translate(maketrans(A_r, B_r)) spells B_r o A_r^-1 (1..n): its byte
-    s-1 is the symbol of B in the cell of row r where A holds s.  Joined
-    over the rows, column s-1 (stride n) holds the symbols of B in the n
-    cells where A holds s, one per row in row order.  Deleting a column
-    from full leaves the symbols that pair with s nowhere, so the distinct
-    count is n^2 less all that is left, and the pair is orthogonal exactly
-    when nothing is.  The first cell in row-major order whose symbol of B
-    repeats in its column is the first colliding cell; no earlier row
-    collides, so the next cell of its pair lies in the column's next row
-    that holds that symbol, in the cell of that row where A holds s.
+    The pair is read as its stride columns (_pair_columns): column s-1
+    holds the symbols of B where A holds s.  The distinct count is n^2 less
+    all that deleting each column from full leaves.  The first cell in
+    row-major order whose symbol of B repeats in its column is the first
+    colliding cell; no earlier row collides, so the next cell of its pair
+    lies in the column's next row that holds that symbol, in the cell of
+    that row where A holds s.
     """
     n = len(full)
-    joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
-    columns = [joined[s::n] for s in range(n)]
+    columns = _pair_columns(rows_a, rows_b, full)
     missing = sum(map(len, map(full.translate, itertools.repeat(None), columns)))
     if not missing:
         return None

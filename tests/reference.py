@@ -14,6 +14,9 @@
 - `shift_family_report` is the report of the shift family of an order n
   with n+1 prime, from the row classes of a closed form rather than any
   stacking of the squares.
+- `cell_pair_counts` is `brute_force_multiplicity` from one pass over the
+  cells instead of one per candidate edge, so it reaches orders above 255,
+  where the oracle's t * n^4 cell reads do not.
 - `per_edge_export` formats one edge at a time from `sorted_edges()` and
   finds isolated vertices by marking every edge's endpoints, the way
   `export_graph` worked before it joined one run of names per part pair
@@ -110,6 +113,13 @@ def occurrence_report(array):
     collisions = [(cells[0], cells[1]) for cells in occurrences.values() if len(cells) > 1]
     first = min(collisions) if collisions else None
     return OrthogonalityReport(first is None, len(occurrences), first)
+
+
+def cell_pair_counts(array):
+    """`brute_force_multiplicity(array)`, from one pass over the cells: each
+    consecutive pair of a cell's tuple counted as its edge."""
+    return dict(Counter(((c, u), (c + 1, v)) for entry in itertools.chain(*array.grid)
+                        for c, (u, v) in enumerate(itertools.pairwise(entry))))
 
 
 def per_edge_export(graph, fmt):

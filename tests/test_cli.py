@@ -13,8 +13,9 @@ import molsnet.graphs
 import molsnet.orthogonality
 
 from golden import ORDER4_SQUARE_FILE
-from molsnet import (InputError, LatinSquare, MolsSet, build_partite_graph,
-                     channels_through, make_mols_family, make_turan_graph, parse_square_file,
+from molsnet import (InputError, LatinSquare, MolsSet, apply_row_shift, build_partite_graph,
+                     channels_through, make_mols_family, make_multiplicative_square,
+                     make_turan_graph, parse_square_file,
                      serialize_square_file, superimpose, turan_edge_count,
                      verify_set_orthogonality, vertex_name)
 from molsnet.cli import main
@@ -310,11 +311,20 @@ class TestStats:
             "here; computed max multiplicity is 1, which contradicts that expectation. "
             "Reported values are computed, not assumed.")
 
-    @pytest.mark.parametrize("order,method", [(7, "additive"), (6, "shift")])
+    @pytest.mark.parametrize("order,method", [(7, "additive"), (6, "shift"), (256, "row-shifts")])
     def test_each_part_pair_keys_are_built_once(self, order, method, tmp_path, monkeypatch,
                                                 capsys):
+        # Latin part pairs up to order 255 are read from rows and make no key
+        # pass.  Above it each part pair makes one, which the multiplicity
+        # report and the simplicity line share: the multiplicative square of
+        # order 256 and its row shifts 1-3 give three orthogonal part pairs.
+        if method == "row-shifts":
+            square = make_multiplicative_square(order)
+            family = MolsSet(order, (square, *(apply_row_shift(square, k) for k in (1, 2, 3))))
+        else:
+            family = make_mols_family(order, method)
         path = tmp_path / "family.txt"
-        path.write_text(serialize_square_file(make_mols_family(order, method)))
+        path.write_text(serialize_square_file(family))
         built = []
         original = molsnet.graphs.stacked_keys
 
@@ -323,7 +333,7 @@ class TestStats:
             return original(keys, column, n)
         monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
         assert main(["stats", "--t", "4", "--in", str(path)]) == 0
-        assert len(built) == 3
+        assert built == [order] * (3 if order > 255 else 0)
 
     def test_parallel_edges_of_two_letter_parts_match_brute_force(self, tmp_path, capsys):
         # Order 28 at t = 28 has parts A..Z, AA and AB, so the lines name

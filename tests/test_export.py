@@ -7,9 +7,9 @@ import pytest
 import molsnet.export
 import molsnet.graphs
 from molsnet import (CHAIN, FORMATS, LatinSquare, PartiteGraph, TupleArray, build_partite_graph,
-                     channels_through, edge_multiplicity, export_graph,
+                     channels_through, edge_multiplicity, export_graph, graph_stats,
                      make_complete_multipartite, make_mols_family, make_turan_graph, superimpose)
-from reference import per_edge_export
+from reference import cell_pair_counts, per_edge_export
 
 
 def order4_graph(family4):
@@ -193,25 +193,43 @@ def _cyclic(n, h, floated=False):
 
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_both_sides_of_the_bytes_limit_route_part_pairs_exactly(n, monkeypatch):
-    # Bytes hold symbols up to 255.  The (a, a, b) stack and the same stack
-    # with a 1.0 in its first square (stored as the int 1, so it exports as
-    # the first) are read from rows at order 255 and make one key pass per
-    # part pair above it.  In the stack (i, i, j) every row of columns 0 and
-    # 1 repeats one symbol, so both its part pairs make one key pass at
-    # every order.
+    # Bytes hold symbols up to 255.  The (a, a, b) and (a, b, b) stacks and
+    # (a, a, b) with a 1.0 in its first square (stored as the int 1, so it
+    # exports as the first) are read from rows at order 255 and make one
+    # key pass per part pair above it.  In the stack (i, i, j) every row of
+    # columns 0 and 1 repeats one symbol, so both its part pairs make one
+    # key pass at every order.  Every export and the multiplicity report
+    # read each part pair; the stats stop at the first that repeats an
+    # edge, the second part pair of (a, b, b) and the first of the others.
+    # The oracle's t * n^4 cell reads are out of reach here, so the counts
+    # come from its one-pass reference.
     a, b = _cyclic(n, 1), _cyclic(n, 2)
     rows = tuple(tuple((i, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
     stacks = {"a a b": superimpose([a, a, b]),
+              "a b b": superimpose([a, b, b]),
               "1.0 a b": superimpose([_cyclic(n, 1, floated=True), a, b]),
               "i i j": TupleArray(n, 3, rows)}
-    passes_per_pair = {"a a b": int(n > 255), "1.0 a b": int(n > 255), "i i j": 1}
+    passes_per_pair = {"a a b": int(n > 255), "a b b": int(n > 255), "1.0 a b": int(n > 255),
+                       "i i j": 1}
     contents = {}
     for name, array in stacks.items():
         graph = PartiteGraph(CHAIN, (n,) * 3, array)
+        per_pair = [n] * passes_per_pair[name]
         passes = _key_passes(monkeypatch)
         contents[name] = {fmt: export_graph(graph, fmt).content for fmt in FORMATS}
-        assert passes == [n] * (2 * passes_per_pair[name] * len(FORMATS)), name
+        assert passes == per_pair * (2 * len(FORMATS)), name
+        passes.clear()
+        report = edge_multiplicity(graph)
+        assert passes == per_pair * 2, name
+        passes.clear()
+        stats = graph_stats(graph)
+        assert passes == per_pair * (2 if name == "a b b" else 1), name
         monkeypatch.undo()
+        counts = cell_pair_counts(array)
+        assert report.duplicated_edges == tuple(sorted((edge, k) for edge, k in counts.items()
+                                                       if k > 1)), name
+        assert report.max_multiplicity == max(counts.values()), name
+        assert stats.simple == all(k == 1 for k in counts.values()), name
         if name != "1.0 a b":
             for fmt in FORMATS:
                 assert contents[name][fmt] == per_edge_export(graph, fmt), (name, fmt)

@@ -10,6 +10,7 @@ from molsnet import (LatinSquare, MolsSet, brute_force_distinctness, brute_force
                      exhaustive_mols_search, is_t_orthogonal, make_additive_square,
                      make_mols_family, make_turan_graph, superimpose, turan_edge_count,
                      validate_latin)
+from reference import cell_pair_counts
 
 
 def scrambled(square, rng):
@@ -100,6 +101,7 @@ class TestBruteForceMultiplicity:
             array = superimpose(list(family.squares[:t]))
             graph = build_partite_graph(array)
             pair_counts = brute_force_multiplicity(array)
+            assert pair_counts == cell_pair_counts(array)
             assert Counter(graph.edges) == Counter(pair_counts)
             assert edge_multiplicity(graph).max_multiplicity == max(pair_counts.values())
 
@@ -114,8 +116,10 @@ class TestBruteForceMultiplicity:
     def test_works_without_orthogonality(self, family4):
         # The oracle counts pairs even for arrays the graph builder rejects.
         square = family4[0]
-        counts = brute_force_multiplicity(superimpose([square, square]))
+        array = superimpose([square, square])
+        counts = brute_force_multiplicity(array)
         assert max(counts.values()) == 4    # each (x, x) pair appears once per row
+        assert counts == cell_pair_counts(array)
 
 
 class TestEnumerateLatinSquares:
