@@ -67,12 +67,11 @@ MUTANTS = (
            "rows = (lambda k: _row_bytes(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
     # The one reader of a pair from rows (_pair_columns) and the pair report.
     Mutant("rows of the joined grid instead of its columns", ORTHOGONALITY,
-           "return [joined[s::len(full)] for s in range(len(full))]",
-           "return [joined[s * len(full):(s + 1) * len(full)] for s in range(len(full))]",
-           PAIR_TESTS),
-    Mutant("stride n+1", ORTHOGONALITY,
-           "return [joined[s::len(full)] for s in range(len(full))]",
-           "return [joined[s::len(full) + 1] for s in range(len(full))]", PAIR_TESTS),
+           "map(joined.__getitem__, _lane_slices(len(full))[1])",
+           "map(joined.__getitem__, _lane_slices(len(full))[0])", PAIR_TESTS),
+    Mutant("stride n+1", SQUARES,
+           "tuple(slice(j, None, n) for j in range(n))",
+           "tuple(slice(j, None, n + 1) for j in range(n))", PAIR_TESTS),
     Mutant("the last column left out of the count", ORTHOGONALITY,
            "itertools.repeat(None), columns)", "itertools.repeat(None), columns[:-1])",
            PAIR_TESTS),
@@ -127,11 +126,12 @@ MUTANTS = (
     Mutant("accept every square", SQUARES,
            "if _lanes_are_permutations(square):", "if True:", ("tests/test_squares.py",)),
     Mutant("translate the wrong way round", SQUARES,
-           "map(full.translate, repeat(None), chain(rows, columns))",
-           "(lane.translate(None, full) for lane in chain(rows, columns))",
-           ("tests/test_squares.py",)),
+           "map(full.translate, repeat(None), lanes)",
+           "(lane.translate(None, full) for lane in lanes)", ("tests/test_squares.py",)),
     Mutant("rows only", SQUARES,
-           "chain(rows, columns)", "rows", ("tests/test_squares.py",)),
+           "chain(*_lane_slices(n))", "_lane_slices(n)[0]", ("tests/test_squares.py",)),
+    Mutant("column slices only in the lane helper", SQUARES,
+           "chain(*_lane_slices(n))", "_lane_slices(n)[1]", ("tests/test_squares.py",)),
     Mutant("symbol 0 taken as a byte of 1..n", SQUARES,
            "full = bytes(range(1, n + 1))", "full = bytes(range(0, n + 1))",
            ("tests/test_squares.py",)),
@@ -158,6 +158,9 @@ MUTANTS = (
            "parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
            "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
            ("tests/test_export.py",)),
+    Mutant("degrees taken as n for a column with a non-permutation row", GRAPHS,
+           "latin = rows and not any(map(full.translate, repeat(None), rows))", "latin = rows",
+           ("tests/test_graphs.py",)),
     # Part labels.
     Mutant("part labels not cached", GRAPHS,
            "@cache\ndef part_label(", "def part_label(", ("tests/test_graphs.py",)),
@@ -180,6 +183,13 @@ MUTANTS = (
            "not exhaustive_mols_search(2, 2, 2).found", "True", CLI_TESTS),
     Mutant("check: a pair of order 3", CLI,
            "ok = found.found and", "ok = True or", CLI_TESTS),
+    # The run layout of verify's listed lines.
+    Mutant("run length rank - done off by one", CLI,
+           "islice(subsets, rank - done)", "islice(subsets, rank - done + 1)", CLI_TESTS),
+    Mutant("the failing subset not skipped", CLI,
+           "            next(subsets)\n", "", CLI_TESTS),
+    Mutant("the final run dropped", CLI,
+           'lines.append("squares (" + joint.join(subsets) + suffix)', "pass", CLI_TESTS),
     # Honest exit codes.
     Mutant("main catching ValueError again", CLI,
            "except (MolsNetError, OSError) as exc:", "except (ValueError, OSError) as exc:",

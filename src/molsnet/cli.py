@@ -16,7 +16,7 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 from .errors import InputError, MolsNetError
@@ -100,7 +100,6 @@ def cmd_verify(args) -> int:
     n, m, t = report.order, report.size, report.t
     total, failures = report.subset_count, report.failures
     names = [str(i) for i in range(m + 1)]
-    orthogonal_line = f"squares ({{}}): orthogonal ({n * n} distinct tuples)".format
     failing_line = (f"squares ({{}}): NOT orthogonal ({{}} of {n * n} distinct; "
                     "cells {} and {} share a tuple)").format
 
@@ -112,9 +111,20 @@ def cmd_verify(args) -> int:
 
     lines = [f"order {n}, {m} squares, t={t}: checking {total} subset{'s' if total != 1 else ''}"]
     if total <= VERIFY_LISTED_SUBSETS:
-        lines += map(orthogonal_line, map(",".join, combinations(names[1:], t)))
+        # Orthogonal lines differ only in their subset, so each run of them
+        # between two failures is one join over the subsets' names.
+        suffix = f"): orthogonal ({n * n} distinct tuples)"
+        joint, done = suffix + "\nsquares (", 0
+        subsets = map(",".join, combinations(names[1:], t))
         for verdict in failures:
-            lines[1 + subset_rank(verdict.indices, m)] = failure_line(verdict)
+            rank = subset_rank(verdict.indices, m)
+            if rank > done:
+                lines.append("squares (" + joint.join(islice(subsets, rank - done)) + suffix)
+            lines.append(failure_line(verdict))
+            next(subsets)
+            done = rank + 1
+        if done < total:
+            lines.append("squares (" + joint.join(subsets) + suffix)
     else:
         lines += map(failure_line, failures[:VERIFY_LISTED_SUBSETS])
         left_out = max(len(failures) - VERIFY_LISTED_SUBSETS, 0)

@@ -338,11 +338,19 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
 def _chain_stats(graph: PartiteGraph, simple: bool) -> GraphStats:
     """graph_stats of a chain graph whose simplicity is already known, so
     `molsnet stats` can take it from edge_multiplicity's one count of each
-    part pair's keys."""
+    part pair's keys.
+
+    A column whose rows bytes() takes and are each a permutation of 1..n
+    holds every symbol n times, so its degrees need no count; any other
+    column (an order above 255, a row that is no permutation) is counted.
+    """
     n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
+    full = bytes(range(1, n + 1)) if n <= 255 else None
     degrees = []
     for p, column in enumerate(columns):
-        counts = Counter(column)
+        rows = _row_bytes(column, n) if full else None
+        latin = rows and not any(map(full.translate, repeat(None), rows))
+        counts = dict.fromkeys(range(1, n + 1), n) if latin else Counter(column)
         neighbours = 1 if p in (0, t - 1) else 2
         degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,

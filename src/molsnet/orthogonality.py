@@ -15,7 +15,7 @@ from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .squares import LatinSquare, MolsSet
+from .squares import LatinSquare, MolsSet, _lane_slices
 
 Cell = tuple[int, int]            # (row, column), 1-based
 SymbolTuple = tuple[int, ...]
@@ -75,9 +75,8 @@ class TupleArray:
 
     @property
     def grid(self) -> tuple[tuple[SymbolTuple, ...], ...]:
-        n = self.order
         entries = tuple(zip(*self.columns))
-        return tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        return tuple(map(entries.__getitem__, _lane_slices(self.order)[0]))
 
     def tuple_at(self, i: int, j: int) -> SymbolTuple:
         """Tuple in row i, column j (1-based)."""
@@ -270,7 +269,7 @@ def _row_bytes(column: Column, n: int) -> list[bytes] | None:
         symbols = bytes(column)
     except (TypeError, ValueError):
         return None
-    return [symbols[k:k + n] for k in range(0, n * n, n)]
+    return list(map(symbols.__getitem__, _lane_slices(n)[0]))
 
 
 def _pair_columns(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes) -> list[bytes]:
@@ -287,7 +286,7 @@ def _pair_columns(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes)
     exactly when no column misses a symbol.
     """
     joined = b"".join(map(full.translate, map(bytes.maketrans, rows_a, rows_b)))
-    return [joined[s::len(full)] for s in range(len(full))]
+    return list(map(joined.__getitem__, _lane_slices(len(full))[1]))
 
 
 def _pair_report(rows_a: Sequence[bytes], rows_b: Sequence[bytes],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -73,8 +74,7 @@ class LatinSquare:
 
     @property
     def cells(self) -> Grid:
-        n, symbols = self.order, self.symbols
-        return tuple(symbols[k:k + n] for k in range(0, n * n, n))
+        return tuple(map(self.symbols.__getitem__, _lane_slices(self.order)[0]))
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,15 @@ def validate_latin(square: LatinSquare) -> ValidationReport:
     return _count_violations(square)
 
 
+@cache
+def _lane_slices(n: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """The row slices and the column slices of a row-major n x n grid, made
+    once per order: row r (0-based) is grid[r * n:(r + 1) * n], column j is
+    grid[j::n]."""
+    return (tuple(slice(k, k + n) for k in range(0, n * n, n)),
+            tuple(slice(j, None, n) for j in range(n)))
+
+
 def _lanes_are_permutations(square: LatinSquare) -> bool:
     """Whether every lane deletes all of bytes 1..n; False if a symbol is no byte."""
     n = square.order
@@ -117,9 +126,8 @@ def _lanes_are_permutations(square: LatinSquare) -> bool:
         full = bytes(range(1, n + 1))
     except (TypeError, ValueError):
         return False
-    rows = (flat[k:k + n] for k in range(0, n * n, n))
-    columns = (flat[j::n] for j in range(n))
-    return not any(map(full.translate, repeat(None), chain(rows, columns)))
+    lanes = map(flat.__getitem__, chain(*_lane_slices(n)))
+    return not any(map(full.translate, repeat(None), lanes))
 
 
 def _count_violations(square: LatinSquare) -> ValidationReport:

@@ -17,6 +17,9 @@
 - `cell_pair_counts` is `brute_force_multiplicity` from one pass over the
   cells instead of one per candidate edge, so it reaches orders above 255,
   where the oracle's t * n^4 cell reads do not.
+- `verify_lines` lays out `molsnet verify`'s listing one line per verdict,
+  in index order, the way `cmd_verify` did before it joined each run of
+  orthogonal lines in one string.
 - `per_edge_export` formats one edge at a time from `sorted_edges()` and
   finds isolated vertices by marking every edge's endpoints, the way
   `export_graph` worked before it joined one run of names per part pair
@@ -120,6 +123,28 @@ def cell_pair_counts(array):
     consecutive pair of a cell's tuple counted as its edge."""
     return dict(Counter(((c, u), (c + 1, v)) for entry in itertools.chain(*array.grid)
                         for c, (u, v) in enumerate(itertools.pairwise(entry))))
+
+
+def verify_lines(report):
+    """The stdout of `molsnet verify` on a report whose every subset is
+    listed: a header, one line per `report.verdicts` entry in index order,
+    and the result."""
+    n, t, total = report.order, report.t, report.subset_count
+    lines = [f"order {n}, {report.size} squares, t={t}: "
+             f"checking {total} subset{'s' if total != 1 else ''}"]
+    for verdict in report.verdicts:
+        names, r = ",".join(map(str, verdict.indices)), verdict.report
+        if r.is_orthogonal:
+            lines.append(f"squares ({names}): orthogonal ({r.distinct_count} distinct tuples)")
+        else:
+            (i, j), (k, l) = r.first_collision
+            lines.append(f"squares ({names}): NOT orthogonal ({r.distinct_count} of {n * n} "
+                         f"distinct; cells ({i},{j}) and ({k},{l}) share a tuple)")
+    if report.all_orthogonal:
+        lines.append(f"result: all {total} subsets are {t}-orthogonal")
+    else:
+        lines.append(f"result: {len(report.failures)} of {total} subsets fail {t}-orthogonality")
+    return "\n".join(lines) + "\n"
 
 
 def per_edge_export(graph, fmt):

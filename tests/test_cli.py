@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -20,6 +22,8 @@ from molsnet import (InputError, LatinSquare, MolsSet, apply_row_shift, build_pa
                      verify_set_orthogonality, vertex_name)
 from molsnet.cli import main
 from molsnet.oracle import brute_force_multiplicity
+from molsnet.orthogonality import subset_rank
+from reference import verify_lines
 
 
 @pytest.fixture()
@@ -227,6 +231,58 @@ class TestVerifyOutputBound:
         assert passes["_pair_report"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
         assert passes["_row_bytes"] == 100
         assert passes["_scaled"] == passes["_appended"] == 0
+
+
+class TestVerifyLayout:
+    """verify joins each run of orthogonal lines between two failures into
+    one string; its stdout must equal the layout of one line per verdict."""
+
+    @staticmethod
+    def _check(path, squares, t):
+        mols = MolsSet(squares[0].order, tuple(squares))
+        path.write_text(serialize_square_file(mols))
+        report = verify_set_orthogonality(mols, t)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["verify", "--t", str(t), "--in", str(path)])
+        assert status == (0 if report.all_orthogonal else 1)
+        assert out.getvalue() == verify_lines(report)
+        return [subset_rank(v.indices, len(squares)) for v in report.failures]
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_no_failure(self, tmp_path, family7, t):
+        assert self._check(tmp_path / "f.txt", family7.squares, t) == []
+
+    def test_every_subset_failing(self, tmp_path):
+        assert self._check(tmp_path / "f.txt", make_mols_family(6).squares, 2) == list(range(15))
+
+    def test_failure_at_the_first_rank_only(self, tmp_path, family5):
+        s1, s2, s3, s4 = family5.squares
+        assert self._check(tmp_path / "f.txt", [s1, s1, s2, s3, s4], 2) == [0]
+
+    def test_failure_at_the_last_rank_only(self, tmp_path, family5):
+        s1, s2, s3, s4 = family5.squares
+        assert self._check(tmp_path / "f.txt", [s1, s2, s3, s4, s4], 2) == [9]
+
+    def test_adjacent_failures(self, tmp_path, family5):
+        s1, s2 = family5.squares[:2]
+        assert self._check(tmp_path / "f.txt", [s1, s1, s1, s2], 2) == [0, 1, 3]
+
+    def test_t_equal_to_the_set_size(self, tmp_path, family5):
+        assert self._check(tmp_path / "f.txt", family5.squares, 4) == []
+        assert self._check(tmp_path / "g.txt", family5.squares[:1] * 3, 3) == [0]
+
+    def test_a_repeated_square_anywhere(self, tmp_path, family5):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+        @hypothesis.given(st.integers(0, 3), st.integers(0, 4), st.data())
+        def check(copied, position, data):
+            squares = list(family5.squares)
+            squares.insert(position, squares[copied])
+            self._check(tmp_path / "f.txt", squares, data.draw(st.integers(2, 5), label="t"))
+        check()
 
 
 class TestGraph:

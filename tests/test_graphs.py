@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -244,6 +245,18 @@ class TestGraphStats:
         assert stats.degree_sequences == (
             (5,) * 5, (10,) * 5, (10,) * 5, (5,) * 5)
         assert stats.simple
+
+    def test_degrees_are_counted_unless_every_row_is_a_permutation(self):
+        # Part B's column holds symbol 1 five times, and its rows are no
+        # permutations; parts A and C hold one Latin square.
+        n, latin, skewed = 3, (1, 2, 3, 2, 3, 1, 3, 1, 2), (1, 1, 2, 2, 3, 3, 1, 1, 1)
+        entries = list(zip(latin, skewed, latin))
+        graph = PartiteGraph(CHAIN, (n,) * 3,
+                             TupleArray(n, 3, [entries[k:k + n] for k in range(0, n * n, n)]))
+        degree = Counter(vertex for edge in graph.edges for vertex in edge)
+        sequences = graph_stats(graph).degree_sequences
+        assert sequences == ((3, 3, 3), (10, 4, 4), (3, 3, 3))
+        assert sequences == tuple(tuple(degree[p, s] for s in range(1, n + 1)) for p in range(3))
 
     def test_edgeless_graph(self):
         stats = graph_stats(make_turan_graph(1, 4))

@@ -178,6 +178,13 @@ class TestValidateLatin:
         # Both rows are fine, so all violations concern columns.
         assert all(v.axis == "column" for v in report.violations)
 
+    def test_repeated_column_is_reported_per_row(self):
+        # Every column is a permutation, so only the rows can reject it.
+        square = LatinSquare(2, ((1, 1), (2, 2)))
+        report = validate_latin(square)
+        assert report == count_latin_violations(square)
+        assert not report.ok and all(v.axis == "row" for v in report.violations)
+
     def test_out_of_range_symbol_shows_up_as_missing(self):
         report = validate_latin(LatinSquare(2, ((1, 3), (2, 1))))
         assert not report.ok
