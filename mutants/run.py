@@ -151,7 +151,7 @@ MUTANTS = (
     Mutant("tail offsets shifted by one tail", GRAPHS,
            "for tail in range(n + 1, (n + 1) ** 2, n + 1)",
            "for tail in range(2 * (n + 1), (n + 1) * (n + 2), n + 1)", ("tests/test_graphs.py",)),
-    Mutant("stats read simplicity from the first part pair only", GRAPHS,
+    Mutant("graph_stats reads simplicity from the first part pair only", GRAPHS,
            "all(starmap(_holds_every_pair, graph._part_pairs()))",
            "next(starmap(_holds_every_pair, graph._part_pairs()))", ("tests/test_export.py",)),
     Mutant("repeated keys left in cell order", GRAPHS,
@@ -190,6 +190,14 @@ MUTANTS = (
            "            next(subsets)\n", "", CLI_TESTS),
     Mutant("the final run dropped", CLI,
            'lines.append("squares (" + joint.join(subsets) + suffix)', "pass", CLI_TESTS),
+    # The closed form of stats: degrees from the Latin check, simplicity from
+    # the multiplicity report.
+    Mutant("stats: inner parts given n", CLI,
+           "else 2 * n)] * n)", "else n)] * n)", CLI_TESTS),
+    Mutant("stats: end parts given 2n", CLI,
+           "str(n if p in (0, t - 1)", "str(2 * n if p in (0, t - 1)", CLI_TESTS),
+    Mutant("stats: simple inverted", CLI,
+           "{'no' if mult.repeated else 'yes'}", "{'yes' if mult.repeated else 'no'}", CLI_TESTS),
     # Honest exit codes.
     Mutant("main catching ValueError again", CLI,
            "except (MolsNetError, OSError) as exc:", "except (ValueError, OSError) as exc:",

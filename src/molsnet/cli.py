@@ -22,9 +22,9 @@ from pathlib import Path
 from .errors import InputError, MolsNetError
 from .export import FORMATS, export_graph
 from .files import decode_square_file, parse_square_file, serialize_square_file
-from .graphs import (PartiteGraph, _chain_stats, _vertex_names, build_partite_graph,
-                     channels_through, edge_multiplicity, is_bipartite, make_turan_graph,
-                     parse_part_label, turan_edge_count, vertex_name)
+from .graphs import (PartiteGraph, _vertex_names, build_partite_graph, channels_through,
+                     edge_multiplicity, is_bipartite, make_turan_graph, parse_part_label,
+                     turan_edge_count, vertex_name)
 from .oracle import (brute_force_distinctness, brute_force_multiplicity, count_edges_brute,
                      enumerate_set_orthogonality, exhaustive_mols_search)
 from .orthogonality import (is_t_orthogonal, subset_rank, superimpose,
@@ -54,26 +54,32 @@ def _write_out(text: str, out: str | None) -> None:
     """Print text, or replace the file `out` with it in one step.
 
     The text goes to a temporary file beside the target, which is then
-    renamed over it, so a failed write leaves any old file as it was.
+    renamed over it, so a failed write leaves any old file as it was.  An
+    error that names a file names `out`, never the temporary file.
     """
     if not out:
         print(text, end="")
         return
     target = Path(out)
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+
+    def named(exc: OSError) -> OSError:
+        return exc if exc.filename is None else OSError(exc.errno, exc.strerror, out)
+
     try:
         handle = open(temp, "x")
     except OSError as exc:
-        # Name the file the user asked for, not the temporary one.
-        raise OSError(exc.errno, exc.strerror, out) from None
+        raise named(exc) from None
     try:
         with handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, target)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise named(exc) from None
         raise
 
 
@@ -165,18 +171,18 @@ def cmd_stats(args) -> int:
     squares = _load_set(args.infile).squares
     graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     mult = edge_multiplicity(graph)
-    stats = _chain_stats(graph, simple=not mult.repeated)
-    bip = is_bipartite(graph)
-    parts = ", ".join(f"{label}={size}"
-                      for label, size in zip(graph.part_labels, stats.part_sizes))
-    print(f"kind: {stats.kind}")
-    print(f"parts: {len(stats.part_sizes)} ({parts})")
-    print(f"vertices: {stats.vertex_count}")
-    print(f"edges: {stats.edge_count}")
+    n, t = graph.array.order, args.t
+    parts = ", ".join(f"{label}={size}" for label, size in zip(graph.part_labels, graph.part_sizes))
+    print(f"kind: {graph.kind}")
+    print(f"parts: {graph.num_parts} ({parts})")
+    print(f"vertices: {graph.vertex_count}")
+    print(f"edges: {graph.edge_count}")
+    # Every square _load_set returns passed validate_latin, so each column
+    # holds every symbol n times: degree n in the end parts, 2n inside.
     print("degrees by part:")
-    for label, sequence in zip(graph.part_labels, stats.degree_sequences):
-        print(f"  {label}: {' '.join(str(d) for d in sequence)}")
-    print(f"simple: {'yes' if stats.simple else 'no'}")
+    for p, label in enumerate(graph.part_labels):
+        print(f"  {label}: {' '.join([str(n if p in (0, t - 1) else 2 * n)] * n)}")
+    print(f"simple: {'no' if mult.repeated else 'yes'}")
     print(f"max edge multiplicity: {mult.max_multiplicity}")
     if mult.repeated:
         names = _vertex_names(graph)
@@ -185,8 +191,7 @@ def cmd_stats(args) -> int:
         for c, tails, heads, counts in mult.repeated:
             print("\n".join(map(line, map(names[c].__getitem__, tails),
                                 map(names[c + 1].__getitem__, heads), counts)))
-    print(f"bipartite: {'yes' if bip.bipartite else 'no'}")
-    n, t = graph.array.order, args.t
+    print(f"bipartite: {'yes' if is_bipartite(graph).bipartite else 'no'}")
     if is_prime(n + 1) and 3 <= t <= n:
         if mult.max_multiplicity > 1:
             status = (f"computed max multiplicity is {mult.max_multiplicity}, "

@@ -318,32 +318,26 @@ class GraphStats:
 
 def graph_stats(graph: PartiteGraph) -> GraphStats:
     """Counts, per-part degree sequences (direction ignored, multiplicity
-    counted), and whether the graph is free of parallel edges.
+    counted), and whether the graph is free of parallel edges, for any
+    graph: `molsnet stats` takes its degrees from the Latin squares of its
+    input instead, and the tests check it against this.
 
     In a chain graph each cell holding s at part p sends one edge to each
     neighbouring part, so the degree of (p, s) is the count of s in column
-    p, once in the end parts and twice inside; the graph is simple when
-    every consecutive column pair holds n^2 distinct symbol pairs: on the
-    row route (PartiteGraph._part_pairs) when no stride column misses a
-    symbol, on the key route when the keys are distinct.  In a complete
-    multipartite graph a vertex meets every vertex outside its part.
+    p, once in the end parts and twice inside.  A column whose rows bytes()
+    takes and are each a permutation of 1..n holds every symbol n times, so
+    its degrees need no count; any other column (an order above 255, a row
+    that is no permutation) is counted.  The graph is simple when every
+    consecutive column pair holds n^2 distinct symbol pairs: on the row
+    route (PartiteGraph._part_pairs) when no stride column misses a symbol,
+    on the key route when the keys are distinct; the first part pair that
+    repeats an edge ends the test.  In a complete multipartite graph a
+    vertex meets every vertex outside its part.
     """
     if graph.array is None:
         total = graph.vertex_count
         degrees = tuple((total - size,) * size for size in graph.part_sizes)
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
-    return _chain_stats(graph, all(starmap(_holds_every_pair, graph._part_pairs())))
-
-
-def _chain_stats(graph: PartiteGraph, simple: bool) -> GraphStats:
-    """graph_stats of a chain graph whose simplicity is already known, so
-    `molsnet stats` can take it from edge_multiplicity's one count of each
-    part pair's keys.
-
-    A column whose rows bytes() takes and are each a permutation of 1..n
-    holds every symbol n times, so its degrees need no count; any other
-    column (an order above 255, a row that is no permutation) is counted.
-    """
     n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
     full = bytes(range(1, n + 1)) if n <= 255 else None
     degrees = []
@@ -354,7 +348,7 @@ def _chain_stats(graph: PartiteGraph, simple: bool) -> GraphStats:
         neighbours = 1 if p in (0, t - 1) else 2
         degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
-                      tuple(degrees), simple)
+                      tuple(degrees), all(starmap(_holds_every_pair, graph._part_pairs())))
 
 
 def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain, ...]:

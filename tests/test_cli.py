@@ -15,15 +15,15 @@ import molsnet.graphs
 import molsnet.orthogonality
 
 from golden import ORDER4_SQUARE_FILE
-from molsnet import (InputError, LatinSquare, MolsSet, apply_row_shift, build_partite_graph,
-                     channels_through, make_mols_family, make_multiplicative_square,
-                     make_turan_graph, parse_square_file,
-                     serialize_square_file, superimpose, turan_edge_count,
-                     verify_set_orthogonality, vertex_name)
+from molsnet import (InputError, LatinSquare, MolsSet, NotOrthogonalError, apply_row_shift,
+                     build_partite_graph, channels_through, graph_stats, make_additive_square,
+                     make_mols_family, make_multiplicative_square, make_turan_graph,
+                     parse_square_file, part_label, serialize_square_file, superimpose,
+                     turan_edge_count, verify_set_orthogonality, vertex_name)
 from molsnet.cli import main
 from molsnet.oracle import brute_force_multiplicity
 from molsnet.orthogonality import subset_rank
-from reference import verify_lines
+from reference import cell_pair_counts, verify_lines
 
 
 @pytest.fixture()
@@ -38,6 +38,21 @@ def f5_file(tmp_path):
     path = tmp_path / "f5.txt"
     path.write_text(serialize_square_file(make_mols_family(5)))
     return str(path)
+
+
+def _out_at_a_directory_fails_cleanly(argv, tmp_path, capsys):
+    """--out naming an existing directory: exit 1 with an error that names
+    the directory and not the temporary file, and nothing on disk moved."""
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(str(target)) in err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (target / "kept.txt").read_text() == "kept\n"
 
 
 class TestGen:
@@ -70,6 +85,9 @@ class TestGen:
         assert err.startswith("error:") and repr(str(target)) in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_flag_at_a_directory_names_only_the_directory(self, tmp_path, capsys):
+        _out_at_a_directory_fails_cleanly(["gen", "--order", "4"], tmp_path, capsys)
 
     def test_failed_out_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "family.txt"
@@ -298,6 +316,10 @@ class TestGraph:
                      "--format", "dot", "--out", str(target)]) == 0
         assert target.read_text().startswith("digraph G {")
 
+    def test_out_flag_at_a_directory_names_only_the_directory(self, f4_file, tmp_path, capsys):
+        _out_at_a_directory_fails_cleanly(["graph", "--t", "3", "--in", f4_file], tmp_path,
+                                          capsys)
+
     def test_explicit_square_selection(self, f5_file, capsys):
         assert main(["graph", "--t", "2", "--in", f5_file, "--squares", "2,4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 25
@@ -367,29 +389,116 @@ class TestStats:
             "here; computed max multiplicity is 1, which contradicts that expectation. "
             "Reported values are computed, not assumed.")
 
-    @pytest.mark.parametrize("order,method", [(7, "additive"), (6, "shift"), (256, "row-shifts")])
+    @staticmethod
+    def _stats_head(stats):
+        """The lines of `molsnet stats` up to "simple:", from a GraphStats."""
+        labels = [part_label(p) for p in range(len(stats.part_sizes))]
+        parts = ", ".join(f"{label}={size}" for label, size in zip(labels, stats.part_sizes))
+        return [f"kind: {stats.kind}", f"parts: {len(stats.part_sizes)} ({parts})",
+                f"vertices: {stats.vertex_count}", f"edges: {stats.edge_count}",
+                "degrees by part:",
+                *(f"  {label}: {' '.join(map(str, sequence))}"
+                  for label, sequence in zip(labels, stats.degree_sequences)),
+                f"simple: {'yes' if stats.simple else 'no'}"]
+
+    @pytest.mark.parametrize("order,method", [(7, "additive"), (6, "shift"), (256, "row-shifts"),
+                                              (257, "slopes")])
     def test_each_part_pair_keys_are_built_once(self, order, method, tmp_path, monkeypatch,
                                                 capsys):
-        # Latin part pairs up to order 255 are read from rows and make no key
-        # pass.  Above it each part pair makes one, which the multiplicity
+        # Up to order 255 each column's rows are cut once, and Latin part
+        # pairs are read from them with no key pass.  Above it no rows are
+        # cut and each part pair makes one key pass, which the multiplicity
         # report and the simplicity line share: the multiplicative square of
-        # order 256 and its row shifts 1-3 give three orthogonal part pairs.
+        # order 256 and its row shifts 1-3 repeat edges in all three part
+        # pairs, and the additive squares of order 257 with slopes 1-4
+        # repeat none.
         if method == "row-shifts":
             square = make_multiplicative_square(order)
             family = MolsSet(order, (square, *(apply_row_shift(square, k) for k in (1, 2, 3))))
+        elif method == "slopes":
+            family = MolsSet(order, tuple(make_additive_square(order, h) for h in (1, 2, 3, 4)))
         else:
             family = make_mols_family(order, method)
         path = tmp_path / "family.txt"
         path.write_text(serialize_square_file(family))
-        built = []
-        original = molsnet.graphs.stacked_keys
+        built, cut = [], []
+        stacked_keys, row_bytes = molsnet.graphs.stacked_keys, molsnet.graphs._row_bytes
 
         def spy(keys, column, n):
             built.append(n)
-            return original(keys, column, n)
+            return stacked_keys(keys, column, n)
+
+        def row_spy(column, n):
+            cut.append(n)
+            return row_bytes(column, n)
         monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
+        monkeypatch.setattr(molsnet.graphs, "_row_bytes", row_spy)
         assert main(["stats", "--t", "4", "--in", str(path)]) == 0
         assert built == [order] * (3 if order > 255 else 0)
+        assert cut == [order] * (4 if order <= 255 else 0)
+        counts = cell_pair_counts(superimpose(family.squares[:4]))
+        degree = Counter()
+        for (u, v), k in counts.items():
+            degree[u] += k
+            degree[v] += k
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("degrees by part:") + 1
+        assert lines[start:start + 5] == [
+            *(f"  {part_label(p)}: {' '.join(str(degree[p, s]) for s in range(1, order + 1))}"
+              for p in range(4)),
+            f"simple: {'yes' if max(counts.values()) == 1 else 'no'}"]
+        if method == "slopes":
+            assert [set(line.split(": ")[1].split()) for line in lines[start:start + 4]] == [
+                {"257"}, {"514"}, {"514"}, {"257"}]
+            assert lines[start + 4] == "simple: yes"
+        elif method == "row-shifts":
+            assert lines[start + 4] == "simple: no"
+            assert "max edge multiplicity: 2" in lines
+
+    def test_closed_form_matches_graph_stats_on_scrambled_families(self, tmp_path):
+        # The degree lines come from the Latin check of the input and the
+        # simple line from the multiplicity report; graph_stats counts both
+        # for any array.  Squares are picked with repeats and in any order,
+        # rows and columns are permuted alike in every square, and each
+        # square's symbols are relabelled on their own.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        families = [make_mols_family(n, "additive") for n in (2, 3, 5, 7, 11, 13)]
+        families += [make_mols_family(n, "shift") for n in (2, 4, 6, 10, 12)]
+        seen = Counter()
+
+        @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+        @hypothesis.given(st.sampled_from(families), st.data())
+        def check(family, data):
+            n, m = family.order, len(family.squares)
+            picks = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m + 1),
+                              label="squares")
+            rows = data.draw(st.permutations(range(n)), label="rows")
+            columns = data.draw(st.permutations(range(n)), label="columns")
+            squares = []
+            for k in picks:
+                cells, symbols = family.squares[k].cells, data.draw(
+                    st.permutations(range(1, n + 1)), label="symbols")
+                squares.append(LatinSquare(n, [[symbols[cells[i][j] - 1] for j in columns]
+                                               for i in rows]))
+            t = data.draw(st.integers(2, len(squares)), label="t")
+            path = tmp_path / "scrambled.txt"
+            path.write_text(serialize_square_file(MolsSet(n, tuple(squares))))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                status = main(["stats", "--t", str(t), "--in", str(path)])
+            try:
+                stats = graph_stats(build_partite_graph(superimpose(squares[:t])))
+            except NotOrthogonalError:
+                assert status == 1
+                seen["rejected"] += 1
+                return
+            assert status == 0
+            head = self._stats_head(stats)
+            assert out.getvalue().splitlines()[:len(head)] == head
+            seen["simple" if stats.simple else "not simple"] += 1
+        check()
+        assert min(seen["rejected"], seen["simple"], seen["not simple"]) > 0
 
     def test_parallel_edges_of_two_letter_parts_match_brute_force(self, tmp_path, capsys):
         # Order 28 at t = 28 has parts A..Z, AA and AB, so the lines name
