@@ -193,7 +193,7 @@ MUTANTS = (
     # The closed form of stats: degrees from the Latin check, simplicity from
     # the multiplicity report.
     Mutant("stats: inner parts given n", CLI,
-           "else 2 * n)] * n)", "else n)] * n)", CLI_TESTS),
+           "else 2 * n)", "else n)", CLI_TESTS),
     Mutant("stats: end parts given 2n", CLI,
            "str(n if p in (0, t - 1)", "str(2 * n if p in (0, t - 1)", CLI_TESTS),
     Mutant("stats: simple inverted", CLI,

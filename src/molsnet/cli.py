@@ -62,14 +62,10 @@ def _write_out(text: str, out: str | None) -> None:
         return
     target = Path(out)
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-
-    def named(exc: OSError) -> OSError:
-        return exc if exc.filename is None else OSError(exc.errno, exc.strerror, out)
-
     try:
         handle = open(temp, "x")
     except OSError as exc:
-        raise named(exc) from None
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with handle:
             handle.write(text)
@@ -78,8 +74,8 @@ def _write_out(text: str, out: str | None) -> None:
         os.replace(temp, target)
     except BaseException as exc:
         temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise named(exc) from None
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, out) from None
         raise
 
 
@@ -172,7 +168,7 @@ def cmd_stats(args) -> int:
     graph = _build_chain_graph(squares, _first_t_indices(squares, args.t))
     mult = edge_multiplicity(graph)
     n, t = graph.array.order, args.t
-    parts = ", ".join(f"{label}={size}" for label, size in zip(graph.part_labels, graph.part_sizes))
+    parts = ", ".join(map("{}={}".format, graph.part_labels, graph.part_sizes))
     print(f"kind: {graph.kind}")
     print(f"parts: {graph.num_parts} ({parts})")
     print(f"vertices: {graph.vertex_count}")
@@ -181,7 +177,8 @@ def cmd_stats(args) -> int:
     # holds every symbol n times: degree n in the end parts, 2n inside.
     print("degrees by part:")
     for p, label in enumerate(graph.part_labels):
-        print(f"  {label}: {' '.join([str(n if p in (0, t - 1) else 2 * n)] * n)}")
+        degree = str(n if p in (0, t - 1) else 2 * n)
+        print(f"  {label}: {' '.join([degree] * n)}")
     print(f"simple: {'no' if mult.repeated else 'yes'}")
     print(f"max edge multiplicity: {mult.max_multiplicity}")
     if mult.repeated:
