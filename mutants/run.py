@@ -37,6 +37,7 @@ ORTHOGONALITY = "src/molsnet/orthogonality.py"
 SQUARES = "src/molsnet/squares.py"
 CLI = "src/molsnet/cli.py"
 GRAPHS = "src/molsnet/graphs.py"
+EXPORT = "src/molsnet/export.py"
 PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -98,6 +99,13 @@ MUTANTS = (
     Mutant("no skip of passed pairs", ORTHOGONALITY,
            "if any((p, k) in orthogonal_pairs for p in prefix):",
            "if False:", ("tests/test_orthogonality.py",)),
+    # is_t_orthogonal: the walk on the one subset 1..t.
+    Mutant("is_t_orthogonal walks arity - 1 columns", ORTHOGONALITY,
+           "_prefix_walk(array.columns, n, array.arity, set())",
+           "_prefix_walk(array.columns, n, array.arity - 1, set())", PAIR_TESTS),
+    Mutant("is_t_orthogonal passes (1, 2) as already orthogonal", ORTHOGONALITY,
+           "_prefix_walk(array.columns, n, array.arity, set())",
+           "_prefix_walk(array.columns, n, array.arity, {(1, 2)})", PAIR_TESTS),
     # The collision certificate (_collision_report).
     Mutant("distinct count off by one", ORTHOGONALITY,
            "n * n - len(keys) + len(counts),", "n * n - len(keys) + len(counts) - 1,",
@@ -161,6 +169,10 @@ MUTANTS = (
     Mutant("degrees taken as n for a column with a non-permutation row", GRAPHS,
            "latin = rows and not any(map(full.translate, repeat(None), rows))", "latin = rows",
            ("tests/test_graphs.py",)),
+    # The one table of export formats.
+    Mutant("two writers swapped in the export table", EXPORT,
+           '{"dot": _to_dot, "edges": _to_edge_list,', '{"dot": _to_edge_list, "edges": _to_dot,',
+           ("tests/test_export.py",)),
     # Part labels.
     Mutant("part labels not cached", GRAPHS,
            "@cache\ndef part_label(", "def part_label(", ("tests/test_graphs.py",)),
@@ -198,6 +210,9 @@ MUTANTS = (
            "str(n if p in (0, t - 1)", "str(2 * n if p in (0, t - 1)", CLI_TESTS),
     Mutant("stats: simple inverted", CLI,
            "{'no' if mult.repeated else 'yes'}", "{'yes' if mult.repeated else 'no'}", CLI_TESTS),
+    # --out paths that name no file.
+    Mutant("the --out check skipped", CLI,
+           'if os.path.basename(out) in ("", ".", ".."):', "if False:", CLI_TESTS),
     # Honest exit codes.
     Mutant("main catching ValueError again", CLI,
            "except (MolsNetError, OSError) as exc:", "except (ValueError, OSError) as exc:",

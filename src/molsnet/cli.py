@@ -55,11 +55,15 @@ def _write_out(text: str, out: str | None) -> None:
 
     The text goes to a temporary file beside the target, which is then
     renamed over it, so a failed write leaves any old file as it was.  An
-    error that names a file names `out`, never the temporary file.
+    error that names a file names `out`, never the temporary file.  A path
+    that names no file, such as "", "." or "dir/", is refused with the
+    error that opening it raises, before anything is written.
     """
-    if not out:
+    if out is None:
         print(text, end="")
         return
+    if os.path.basename(out) in ("", ".", ".."):
+        open(out, "w").close()
     target = Path(out)
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:

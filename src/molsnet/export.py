@@ -17,7 +17,6 @@ from typing import Iterator
 
 from .graphs import CHAIN, PartiteGraph, _vertex_names, part_label
 
-FORMATS = ("dot", "edges", "json")
 
 @dataclass(frozen=True)
 class GraphExport:
@@ -26,15 +25,9 @@ class GraphExport:
 
 
 def export_graph(graph: PartiteGraph, fmt: str) -> GraphExport:
-    if fmt == "dot":
-        chunks = _to_dot(graph)
-    elif fmt == "edges":
-        chunks = _to_edge_list(graph)
-    elif fmt == "json":
-        chunks = _to_json(graph)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
-    return GraphExport(fmt, "".join(chunks))
+    return GraphExport(fmt, "".join(_WRITERS[fmt](graph)))
 
 
 def _edge_runs(graph: PartiteGraph, names: list[list[str]], pair_sep: str,
@@ -121,3 +114,8 @@ def _to_json(graph: PartiteGraph) -> list[str]:
         return [header, "\n"]
     # "edges" is the last key, so the header ends in its empty list.
     return [header.removesuffix("[]\n}"), "[\n", edges, "\n  ]\n}\n"]
+
+
+# Format name to writer, in the order argparse lists the choices.
+_WRITERS = {"dot": _to_dot, "edges": _to_edge_list, "json": _to_json}
+FORMATS = tuple(_WRITERS)

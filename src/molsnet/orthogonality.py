@@ -147,18 +147,14 @@ class OrthogonalityReport:
 def is_t_orthogonal(array: TupleArray) -> OrthogonalityReport:
     """Decide whether all n^2 tuples are pairwise distinct.
 
-    Decided on prefixes of the stack, keyed by stacked_keys: cells that
-    differ on a prefix differ on the whole tuple, so the first prefix whose
-    n^2 cells are distinct settles it.  On failure, first_collision is the
-    smallest colliding cell pair in row-major order.
+    This is the prefix walk (_prefix_walk) on the one subset 1..t of the
+    stack, so it stops at the first prefix whose n^2 cells are distinct.
+    On failure, first_collision is the smallest colliding cell pair in
+    row-major order.
     """
-    n, columns = array.order, array.columns
-    keys = columns[0]
-    for column in columns[1:]:
-        keys = stacked_keys(keys, column, n)
-        if len(set(keys)) == n * n:
-            return OrthogonalityReport(True, n * n, None)
-    return _collision_report(keys, n, range(n * n))
+    n = array.order
+    failures = _prefix_walk(array.columns, n, array.arity, set())
+    return failures[0].report if failures else OrthogonalityReport(True, n * n, None)
 
 
 def _collision_report(keys: Sequence[int], n: int,
@@ -352,12 +348,13 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     its completions as orthogonal without more work, and so does a node
     that holds a pair in orthogonal_pairs, at any depth, without a pass.  A
     failing node below depth 1 keeps only its cells whose key repeats: its
-    children read just those cells of their column.  A depth-1 node is a Latin column, so it is not tested:
-    for n >= 2 no key of it is unique, and for n = 1 every child settles.
-    A failing leaf reads its certificate off its keys, as is_t_orthogonal
-    does.  verify_set_orthogonality walks only at t >= 3, from the first
-    failing pair of its Turan cover; at t = 2 every pair is decided on its
-    own.
+    children read just those cells of their column.  A depth-1 node is not
+    tested, because one column decides nothing: for n >= 2 its n^2 keys,
+    symbols of 1..n, repeat, and for n = 1 every child settles.  A failing
+    leaf reads its certificate off its keys (_collision_report).
+    is_t_orthogonal walks the one subset of its stack.
+    verify_set_orthogonality walks only at t >= 3, from the first failing
+    pair of its Turan cover; at t = 2 every pair is decided on its own.
     """
     size = len(flat)
     failures: list[SubsetVerdict] = []

@@ -1,7 +1,9 @@
 """Straightforward paths kept as references for the tests.
 
-- `per_subset_verdicts` superimposes and checks each t-subset on its own,
-  the way `verify_set_orthogonality` worked before it walked the prefix tree.
+- `per_subset_verdicts` superimposes each t-subset on its own and checks
+  it with `occurrence_report`, the way `verify_set_orthogonality` worked
+  before it walked the prefix tree.  It calls no decider of the package, so
+  verify is not checked against its own walk, which `is_t_orthogonal` runs.
 - `count_latin_violations` counts every symbol of every lane, the way
   `validate_latin` worked before it passed permutation lanes on set equality
   and, later, accepted whole squares whose lanes read as byte strings hold
@@ -31,8 +33,7 @@ import json
 from collections import Counter
 
 from molsnet import (CHAIN, LatinViolation, OrthogonalityReport, SetOrthogonalityReport,
-                     SubsetVerdict, ValidationReport, is_t_orthogonal, part_label, superimpose,
-                     vertex_name)
+                     SubsetVerdict, ValidationReport, part_label, superimpose, vertex_name)
 
 
 def per_subset_verdicts(mols, t):
@@ -40,7 +41,7 @@ def per_subset_verdicts(mols, t):
     verdicts = []
     for combo in itertools.combinations(range(1, len(mols.squares) + 1), t):
         array = superimpose([mols.squares[i - 1] for i in combo])
-        verdicts.append(SubsetVerdict(combo, is_t_orthogonal(array)))
+        verdicts.append(SubsetVerdict(combo, occurrence_report(array)))
     return tuple(verdicts)
 
 

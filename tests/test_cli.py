@@ -55,6 +55,27 @@ def _out_at_a_directory_fails_cleanly(argv, tmp_path, capsys):
     assert (target / "kept.txt").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("out,error", [
+    ("", "[Errno 2] No such file or directory: ''"),
+    (".", "[Errno 21] Is a directory: '.'"),
+    ("/", "[Errno 21] Is a directory: '/'"),
+    ("nosuchdir/", "[Errno 21] Is a directory: 'nosuchdir/'"),
+])
+@pytest.mark.parametrize("command", ["gen", "graph"])
+def test_out_paths_that_name_no_file_are_refused(command, out, error, f4_file, tmp_path,
+                                                 capsys, monkeypatch):
+    # pathlib reads "" and "." as the current directory and drops the
+    # trailing slash of "nosuchdir/"; each path gets the error that opening
+    # it raises, and nothing is written, here or beside the path.
+    argv = ["gen", "--order", "3"] if command == "gen" else ["graph", "--t", "3", "--in", f4_file]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not list(Path("/").glob(f".*.{os.getpid()}.tmp"))
+
+
 class TestGen:
     def test_order_4_to_stdout(self, capsys):
         assert main(["gen", "--order", "4"]) == 0

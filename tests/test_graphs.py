@@ -77,6 +77,17 @@ class TestBuildPartiteGraph:
             build_partite_graph(array)
         assert excinfo.value.report.first_collision is not None
 
+    @pytest.mark.parametrize("n,message", [
+        (10, "cells (5, 1) and (10, 6) hold the same tuple (90 distinct tuples)"),
+        (40, "cells (20, 1) and (40, 21) hold the same tuple (1560 distinct tuples)"),
+        (58, "cells (29, 1) and (58, 30) hold the same tuple (3306 distinct tuples)"),
+    ])
+    def test_a_shift_pair_is_rejected_with_its_first_collision(self, n, message):
+        # The first two shift squares, as `molsnet graph --t 2` stacks them.
+        with pytest.raises(NotOrthogonalError) as excinfo:
+            chain_graph(make_mols_family(n, "shift"), 2)
+        assert str(excinfo.value) == "array is not orthogonal: " + message
+
     @pytest.mark.parametrize("n,t", [(3, 2), (5, 2), (5, 3), (5, 4), (7, 3)])
     def test_edge_count_and_end_part_degrees(self, n, t):
         graph = chain_graph(make_mols_family(n), t)

@@ -13,7 +13,8 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, enumerate_set_orthogonali
                      verify_set_orthogonality)
 from molsnet.orthogonality import (OrthogonalityReport, _collision_report,
                                    _prefix_walk, _runs, subset_rank)
-from reference import distinct_slope_report, per_subset_verdicts, shift_family_report
+from reference import (distinct_slope_report, occurrence_report, per_subset_verdicts,
+                       shift_family_report)
 
 # Every (order, method) up to order 13 whose family has at least two squares.
 FAMILIES = [(n, method) for n in range(2, 14) for method in ("additive", "shift")
@@ -111,6 +112,35 @@ class TestIsTOrthogonal:
         verdicts = {is_t_orthogonal(superimpose(list(p))).is_orthogonal
                     for p in itertools.permutations(chosen)}
         assert verdicts == {True}
+
+    def test_each_call_is_one_walk_of_its_one_subset(self, family4, family5, monkeypatch):
+        # The verdict is _prefix_walk's on the subset 1..t of the stack's
+        # columns, with no passed pairs and no stacked_keys pass of its own:
+        # orthogonal at t = 2 and t = 4, a failing pair, a stack that fails
+        # on its first two squares and passes with the third, a stack that
+        # fails at every depth, and order 1.
+        walks, calls = [], Counter()
+        walk, keys = molsnet.orthogonality._prefix_walk, molsnet.orthogonality.stacked_keys
+
+        def walk_spy(*args):
+            walks.append(args)
+            return walk(*args)
+
+        def keys_spy(*args):
+            calls["stacked_keys"] += 1
+            return keys(*args)
+        monkeypatch.setattr(molsnet.orthogonality, "_prefix_walk", walk_spy)
+        monkeypatch.setattr(molsnet.orthogonality, "stacked_keys", keys_spy)
+        one = LatinSquare(1, ((1,),))
+        stacks = [family5.squares[:2], family5.squares, family4.squares[:2], family4.squares[:3],
+                  (family5[2],) * 3, (one, one)]
+        for squares in stacks:
+            array = superimpose(squares)
+            walks.clear()
+            report = is_t_orthogonal(array)
+            assert walks == [(array.columns, array.order, len(squares), set())]
+            assert not calls
+            assert report == occurrence_report(array)
 
 
 class TestDistinctTupleCount:

@@ -216,8 +216,8 @@ def test_verify_agrees_with_superimposing_every_subset(case):
     mols, t = case
     report = verify_set_orthogonality(mols, t)
     assert tuple(report.verdicts) == per_subset_verdicts(mols, t)
-    # per_subset_verdicts shares its certificate code with verify through
-    # is_t_orthogonal; the oracle compares cell pairs and shares nothing.
+    # per_subset_verdicts groups each subset's cells by tuple and the oracle
+    # compares cell pairs; neither shares code with verify.
     assert report == enumerate_set_orthogonality(mols, t)
 
 
