@@ -37,6 +37,7 @@ ORTHOGONALITY = "src/molsnet/orthogonality.py"
 SQUARES = "src/molsnet/squares.py"
 CLI = "src/molsnet/cli.py"
 GRAPHS = "src/molsnet/graphs.py"
+FILES = "src/molsnet/files.py"
 EXPORT = "src/molsnet/export.py"
 PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
 CLI_TESTS = ("tests/test_cli.py",)
@@ -60,9 +61,9 @@ MUTANTS = (
     Mutant("None for a failing key pair", ORTHOGONALITY,
            "return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))",
            "return None", PAIR_TESTS),
-    Mutant("a symbol bytes() refuses is not caught", ORTHOGONALITY,
-           "symbols = bytes(column)\n    except (TypeError, ValueError):",
-           "symbols = bytes(column)\n    except ValueError:", ("tests/test_orthogonality.py",)),
+    Mutant("a tuple column cut into rows", ORTHOGONALITY,
+           "if type(column) is not bytes:\n        return None", "if False:\n        return None",
+           ("tests/test_orthogonality.py",)),
     Mutant("rows built on every pair", ORTHOGONALITY,
            "rows = cache(lambda k: _row_bytes(flat[k - 1], n))",
            "rows = (lambda k: _row_bytes(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
@@ -114,22 +115,31 @@ MUTANTS = (
            "b = keys.index(keys[a], a + 1)", "b = len(keys) - 1 - keys[::-1].index(keys[a])",
            ("tests/test_orthogonality.py",)),
     # The symbol checks of TupleArray.
-    Mutant("accept every column", ORTHOGONALITY,
-           "return not bytes(column).translate(None, bytes(range(1, order + 1)))",
-           "return True", ("tests/test_orthogonality.py",)),
+    Mutant("accept every bytes column", ORTHOGONALITY,
+           "not column.translate(None, full) else", "True else", ("tests/test_orthogonality.py",)),
     Mutant("range check by min and max", ORTHOGONALITY,
-           "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))",
+           "pack(map(table.__getitem__, column))",
            "(column if 1 <= min(column) and max(column) <= order else {}[0])",
            ("tests/test_orthogonality.py",)),
     Mutant("float columns stored as given", ORTHOGONALITY,
-           "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))",
-           "tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column)) and column",
+           "pack(map(table.__getitem__, column))", "pack(map(table.__getitem__, column)) and column",
            ("tests/test_export.py",)),
+    Mutant("every column stored as a tuple", ORTHOGONALITY,
+           "pack = bytes if order <= 255 else tuple", "pack = tuple",
+           ("tests/test_orthogonality.py",)),
     Mutant("an unhashable symbol not caught", ORTHOGONALITY,
            "except (KeyError, TypeError):", "except KeyError:", ("tests/test_orthogonality.py",)),
     Mutant("first bad entry by 1 <= s <= n", ORTHOGONALITY,
            "if any(s not in range(1, n + 1) for s in entry):",
            "if any(not 1 <= s <= n for s in entry):", ("tests/test_orthogonality.py",)),
+    # A square is its bytes: the one normalization of LatinSquare and the parse.
+    Mutant("the byte table read dropped from LatinSquare", SQUARES,
+           "symbols = bytes(map(_BYTE_VALUES.__getitem__, symbols))", "symbols = tuple(symbols)",
+           ("tests/test_squares.py",)),
+    Mutant("parse stores tuples", FILES,
+           "bytes(flat) if order <= 255 else tuple(flat)", "tuple(flat)", ("tests/test_files.py",)),
+    Mutant("the order-1 row not wrapped", FILES,
+           "flat += values if order > 1 else (values,)", "flat += values", ("tests/test_files.py",)),
     # The byte-string Latin check.
     Mutant("accept every square", SQUARES,
            "if _lanes_are_permutations(square):", "if True:", ("tests/test_squares.py",)),

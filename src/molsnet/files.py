@@ -8,9 +8,14 @@ tolerates extra blank lines at the end of the file.  Error positions use
 1-based lines, and columns count whitespace-separated tokens, not characters.
 Whether blocks are Latin is checked once, by MolsSet, after the whole text
 is read, so a syntax fault anywhere is reported before a non-Latin block.
+Each row is read with one gather from a table of the canonical spellings,
+and each block becomes a square's symbols as they are stored: bytes up to
+order 255, a tuple of ints above it.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import NotLatinError, SquareFileError
 from .squares import EXTERNAL, LatinSquare, MolsSet
@@ -110,12 +115,13 @@ def parse_square_file(text: str) -> MolsSet:
                 # Built only now, so its size is bounded by the input, not the header.
                 symbols = {str(s): s for s in range(1, order + 1)}
             try:
-                flat += map(symbols.__getitem__, tokens)
+                values = itemgetter(*tokens)(symbols)
+                flat += values if order > 1 else (values,)
             except KeyError:
-                del flat[row * order:]
                 flat += _convert_row(tokens, order, line_no)
             cursor += 1
-        squares.append(LatinSquare._of_symbols(order, tuple(flat), EXTERNAL))
+        squares.append(LatinSquare._of_symbols(
+            order, bytes(flat) if order <= 255 else tuple(flat), EXTERNAL))
     while cursor < len(lines):
         if lines[cursor].strip():
             raise SquareFileError("unexpected content after the final block", line=cursor + 1)

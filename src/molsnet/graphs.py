@@ -121,10 +121,11 @@ class PartiteGraph:
         """Per part pair c of a chain graph, the pair by the one route rule
         that every reader of its edges (c, u) -> (c+1, v) follows.
 
-        Row route: when bytes() takes both columns and every row of column c
-        is a permutation of 1..n, (full, columns), with full bytes 1..n and
-        columns the pair's stride columns (orthogonality._pair_columns):
-        columns[u - 1] holds the heads of tail u's n edges, one per row.
+        Row route: up to order 255, where every column is bytes, when every
+        row of column c is a permutation of 1..n, (full, columns), with full
+        bytes 1..n and columns the pair's stride columns
+        (orthogonality._pair_columns): columns[u - 1] holds the heads of
+        tail u's n edges, one per row.
         Key route, every other part pair (an order above 255, or a row of
         column c that is no permutation): (None, keys), the pair's stacked
         keys u * (n+1) + v in cell order, made in one pass.
@@ -133,7 +134,7 @@ class PartiteGraph:
         full = bytes(range(1, n + 1)) if n <= 255 else None
         rows = (_row_bytes(column, n) if full else None for column in columns)
         for c, (rows_a, rows_b) in enumerate(pairwise(rows)):
-            if rows_a and rows_b and not any(map(full.translate, repeat(None), rows_a)):
+            if rows_a and not any(map(full.translate, repeat(None), rows_a)):
                 yield full, _pair_columns(rows_a, rows_b, full)
             else:
                 yield None, stacked_keys(columns[c], columns[c + 1], n)
@@ -324,15 +325,15 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
 
     In a chain graph each cell holding s at part p sends one edge to each
     neighbouring part, so the degree of (p, s) is the count of s in column
-    p, once in the end parts and twice inside.  A column whose rows bytes()
-    takes and are each a permutation of 1..n holds every symbol n times, so
-    its degrees need no count; any other column (an order above 255, a row
-    that is no permutation) is counted.  The graph is simple when every
-    consecutive column pair holds n^2 distinct symbol pairs: on the row
-    route (PartiteGraph._part_pairs) when no stride column misses a symbol,
-    on the key route when the keys are distinct; the first part pair that
-    repeats an edge ends the test.  In a complete multipartite graph a
-    vertex meets every vertex outside its part.
+    p, once in the end parts and twice inside.  A bytes column (every column
+    up to order 255) whose rows are each a permutation of 1..n holds every
+    symbol n times, so its degrees need no count; any other column (an
+    order above 255, a row that is no permutation) is counted.  The graph
+    is simple when every consecutive column pair holds n^2 distinct symbol
+    pairs: on the row route (PartiteGraph._part_pairs) when no stride
+    column misses a symbol, on the key route when the keys are distinct;
+    the first part pair that repeats an edge ends the test.  In a complete
+    multipartite graph a vertex meets every vertex outside its part.
     """
     if graph.array is None:
         total = graph.vertex_count
@@ -342,7 +343,7 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
     full = bytes(range(1, n + 1)) if n <= 255 else None
     degrees = []
     for p, column in enumerate(columns):
-        rows = _row_bytes(column, n) if full else None
+        rows = _row_bytes(column, n)
         latin = rows and not any(map(full.translate, repeat(None), rows))
         counts = dict.fromkeys(range(1, n + 1), n) if latin else Counter(column)
         neighbours = 1 if p in (0, t - 1) else 2

@@ -19,7 +19,7 @@ from .squares import LatinSquare, MolsSet, _lane_slices
 
 Cell = tuple[int, int]            # (row, column), 1-based
 SymbolTuple = tuple[int, ...]
-Column = tuple[int, ...]          # one square's symbols, row-major
+Column = bytes | tuple[int, ...]  # one square's symbols, row-major
 
 
 @dataclass(frozen=True, init=False)
@@ -27,8 +27,9 @@ class TupleArray:
     """n x n grid of ordered t-tuples obtained by stacking t squares.
 
     Stored as one row-major flat column of n^2 symbols per square, so
-    columns[p][k] is coordinate p of the tuple in cell k // n + 1, k % n + 1.
-    The grid is derived on demand.
+    columns[p][k] is coordinate p of the tuple in cell k // n + 1, k % n + 1:
+    bytes up to order 255, a tuple of ints above it.  The grid is derived
+    on demand.
     """
 
     order: int
@@ -56,17 +57,21 @@ class TupleArray:
     def _set(self, order: int, arity: int, columns: tuple[Column, ...]) -> None:
         """The one symbol check of both constructors; fields are set only if it passes.
 
-        A column whose bytes all lie in 1..order is taken as it is, without
-        a copy.  Any other column, one with a symbol bytes() refuses such as
-        1.0 and every column of an order above 255, is read through the
-        table of 1..order: each symbol must equal one of 1..order, the only
-        symbols on which the stacked keys are injective, and is stored as
-        that int, so 1.0 is kept as 1.  A symbol the table does not hold, or
-        cannot hash such as a list, is reported as the first bad entry.
+        Up to order 255, a bytes column whose bytes all lie in 1..order, such
+        as every Latin square's symbols, is taken as it is, without a copy.
+        Any other column is read through the table of 1..order: each symbol
+        must equal one of 1..order, the only symbols on which the stacked
+        keys are injective, and is stored as that int, so 1.0 is kept as 1,
+        in bytes up to order 255 and in a tuple above it.  A symbol the
+        table does not hold, or cannot hash such as a list, is reported as
+        the first bad entry.
         """
+        pack = bytes if order <= 255 else tuple
+        full = bytes(range(1, order + 1)) if pack is bytes else None
+        table = {s: s for s in range(1, order + 1)}
         try:
-            columns = tuple(column if _is_byte_column(order, column) else
-                            tuple(map({s: s for s in range(1, order + 1)}.__getitem__, column))
+            columns = tuple(column if full and type(column) is bytes and
+                            not column.translate(None, full) else pack(map(table.__getitem__, column))
                             for column in columns)
         except (KeyError, TypeError):
             _raise_first_bad_entry(order, arity, list(zip(*columns)))
@@ -85,14 +90,6 @@ class TupleArray:
             raise IndexError(f"cell ({i}, {j}) lies outside the {n}x{n} grid")
         k = (i - 1) * n + j - 1
         return tuple(column[k] for column in self.columns)
-
-
-def _is_byte_column(order: int, column: Column) -> bool:
-    """Whether deleting bytes 1..order empties the column read as bytes."""
-    try:
-        return not bytes(column).translate(None, bytes(range(1, order + 1)))
-    except (TypeError, ValueError):
-        return False
 
 
 def _raise_first_bad_entry(n: int, t: int, entries: list[SymbolTuple]) -> None:
@@ -123,8 +120,9 @@ def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
     squares is read once, in order.  Each square's row-major symbols are
-    its column of the stack as they are, without a copy, when bytes() takes
-    them; otherwise TupleArray._set reads them into ints of 1..n.
+    its column of the stack as they are, without a copy, when they are
+    bytes of 1..n, as every Latin square's up to order 255 are; otherwise
+    TupleArray._set reads them into ints of 1..n.
     """
     orders, columns = set(), []
     for square in squares:
@@ -260,12 +258,10 @@ def _runs(size: int, parts: int) -> Iterator[range]:
 
 def _row_bytes(column: Column, n: int) -> list[bytes] | None:
     """A square's n rows as byte strings, the pair test's set-up once per
-    square; None when bytes() refuses one of its symbols."""
-    try:
-        symbols = bytes(column)
-    except (TypeError, ValueError):
+    square; None when its column is not bytes (an order above 255)."""
+    if type(column) is not bytes:
         return None
-    return list(map(symbols.__getitem__, _lane_slices(n)[0]))
+    return list(map(column.__getitem__, _lane_slices(n)[0]))
 
 
 def _pair_columns(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes) -> list[bytes]:
@@ -319,12 +315,11 @@ def _pair_reports(flat: Sequence[Column], n: int) -> Callable[[int, int], Orthog
     in flat, it returns the pair's report, or None when the pair holds all
     n^2 symbol pairs.
 
-    When bytes() takes both squares' symbols, the rule validate_latin uses,
-    the pair is decided from their rows (_pair_report); each square's rows
-    are built on its first pair and kept.  Otherwise, at every order above
-    255 and for any symbol that is not an int, the pair's n^2 stacked keys
-    are made in one stacked_keys pass, and a failing pair's report is read
-    off them.
+    When both squares' symbols are bytes, as every Latin square's are up
+    to order 255, the pair is decided from their rows (_pair_report); each
+    square's rows are built on its first pair and kept.  Otherwise, at
+    every order above 255, the pair's n^2 stacked keys are made in one
+    stacked_keys pass, and a failing pair's report is read off them.
     """
     full = cache(lambda: bytes(range(1, n + 1)))     # raises above 255: row path only
     rows = cache(lambda k: _row_bytes(flat[k - 1], n))

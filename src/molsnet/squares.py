@@ -41,9 +41,12 @@ def is_prime(n: int) -> bool:
 class LatinSquare:
     """An n x n grid intended to hold each of 1..n once per row and column.
 
-    Stored as one row-major tuple of its n^2 symbols, so symbols[k] is the
-    symbol in cell k // n + 1, k % n + 1; that tuple is also the square's
-    column of a stack (superimpose).  The rows are derived on demand.
+    Stored as one row-major sequence of its n^2 symbols, so symbols[k] is
+    the symbol in cell k // n + 1, k % n + 1; that object is also the
+    square's column of a stack (superimpose).  It is bytes when every
+    symbol equals an int in 0..255, which holds for every Latin square up
+    to order 255, and the given tuple otherwise, so equality and hash stay
+    elementwise.  The rows are derived on demand, as tuples of ints.
     The constructor checks shape only, one len per row at C speed, so that
     broken grids can still be built and handed to validate_latin for a
     diagnosis.  provenance records how the square was made and is ignored
@@ -51,7 +54,7 @@ class LatinSquare:
     """
 
     order: int
-    symbols: Row
+    symbols: bytes | Row
     provenance: str = field(default=EXTERNAL, compare=False)
 
     def __init__(self, order: int, cells: Sequence[Sequence[int]], provenance: str = EXTERNAL):
@@ -62,19 +65,36 @@ class LatinSquare:
         self._set(order, tuple(chain.from_iterable(cells)), provenance)
 
     @classmethod
-    def _of_symbols(cls, order: int, symbols: Row, provenance: str) -> LatinSquare:
+    def _of_symbols(cls, order: int, symbols: Sequence[int], provenance: str) -> LatinSquare:
         """A square from its row-major symbols, for the package's own builders."""
         square = cls.__new__(cls)
         square._set(order, symbols, provenance)
         return square
 
-    def _set(self, order: int, symbols: Row, provenance: str) -> None:
+    def _set(self, order: int, symbols: Sequence[int], provenance: str) -> None:
+        """The one normalization of both constructors: symbols that bytes()
+        takes, or that all equal a key of the table of 0..255 (1.0, True,
+        Fraction(1)), are stored as bytes, a bytes object as it is; any
+        other symbols (300, 2.5, 'x') as the given tuple."""
+        if type(symbols) is not bytes:
+            try:
+                symbols = bytes(symbols)
+            except (TypeError, ValueError):
+                try:
+                    symbols = bytes(map(_BYTE_VALUES.__getitem__, symbols))
+                except (KeyError, TypeError):
+                    symbols = tuple(symbols)
         for name, value in (("order", order), ("symbols", symbols), ("provenance", provenance)):
             object.__setattr__(self, name, value)
 
     @property
     def cells(self) -> Grid:
-        return tuple(map(self.symbols.__getitem__, _lane_slices(self.order)[0]))
+        return tuple(map(tuple, map(self.symbols.__getitem__, _lane_slices(self.order)[0])))
+
+
+# Each int that fits in a byte, keyed by itself, so a symbol that equals one
+# (1.0, True) reads as that int.
+_BYTE_VALUES = {s: s for s in range(256)}
 
 
 @dataclass(frozen=True)
@@ -98,11 +118,12 @@ class ValidationReport:
 def validate_latin(square: LatinSquare) -> ValidationReport:
     """Report every duplicated or missing symbol, rows first, then columns.
 
-    A square is accepted from its bytes when every row and column, read as
-    bytes, holds each of 1..n: a lane of n bytes that does is a permutation.
-    Any other square is diagnosed by counting its symbols; that includes
-    every square with a symbol bytes() refuses (not an int in 0..255) and
-    every square of order above 255, whose 1..n does not fit in bytes.
+    A square whose symbols are bytes is accepted when every row and column
+    holds each of 1..n: a lane of n bytes that does is a permutation.  Any
+    other square is diagnosed by counting its symbols; that includes every
+    square whose symbols are a tuple (a symbol that equals no int in
+    0..255) and every square of order above 255, whose 1..n does not fit
+    in bytes.
     """
     if _lanes_are_permutations(square):
         return ValidationReport(True)
@@ -119,13 +140,12 @@ def _lane_slices(n: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
 
 
 def _lanes_are_permutations(square: LatinSquare) -> bool:
-    """Whether every lane deletes all of bytes 1..n; False if a symbol is no byte."""
-    n = square.order
-    try:
-        flat = bytes(square.symbols)
-        full = bytes(range(1, n + 1))
-    except (TypeError, ValueError):
+    """Whether every lane deletes all of bytes 1..n; False unless the
+    symbols are bytes and 1..n fits in bytes."""
+    n, flat = square.order, square.symbols
+    if type(flat) is not bytes or n > 255:
         return False
+    full = bytes(range(1, n + 1))
     lanes = map(flat.__getitem__, chain(*_lane_slices(n)))
     return not any(map(full.translate, repeat(None), lanes))
 
@@ -192,7 +212,7 @@ def make_multiplicative_square(n: int) -> LatinSquare:
     if not is_prime(n + 1):
         raise ConstructionError(f"multiplicative square needs {n}+1 prime; {n + 1} is not")
     p = n + 1
-    symbols = tuple(i * j % p for i in range(1, n + 1) for j in range(1, n + 1))
+    symbols = [i * j % p for i in range(1, n + 1) for j in range(1, n + 1)]
     return LatinSquare._of_symbols(n, symbols, "multiplicative")
 
 
@@ -223,7 +243,7 @@ def make_additive_square(n: int, h: int) -> LatinSquare:
     symbols = []
     for start in (i * step % n for i in range(n)):
         symbols += doubled[start:start + n]
-    return LatinSquare._of_symbols(n, tuple(symbols), f"additive(h={h})")
+    return LatinSquare._of_symbols(n, symbols, f"additive(h={h})")
 
 
 def make_mols_family(n: int, method: str = "auto") -> MolsSet:

@@ -5,8 +5,8 @@ import pytest
 
 import molsnet.squares
 from golden import ORDER4_SQUARE_FILE
-from molsnet import (SquareFileError, make_mols_family, parse_square_file,
-                     serialize_square_file)
+from molsnet import (LatinSquare, MolsSet, SquareFileError, make_mols_family,
+                     make_multiplicative_square, parse_square_file, serialize_square_file)
 from molsnet.files import decode_square_file
 from molsnet.cli import main
 
@@ -25,12 +25,51 @@ class TestSerialize:
 
 
 class TestParse:
-    @pytest.mark.parametrize("n,method", [(7, "additive"), (10, "shift"), (101, "additive")])
+    @pytest.mark.parametrize("n,method", [(7, "additive"), (10, "shift"), (101, "additive"),
+                                          (256, "multiplicative")])
     def test_parsed_squares_equal_the_generated_ones(self, n, method):
-        family = make_mols_family(n, method)
+        # A square's symbols are bytes up to order 255 and a tuple of ints
+        # above it, whether parsed or built.
+        if method == "multiplicative":
+            family = MolsSet(n, (make_multiplicative_square(n),))
+        else:
+            family = make_mols_family(n, method)
         parsed = parse_square_file(serialize_square_file(family))
         assert parsed.squares == family.squares
-        assert all(type(square.symbols) is tuple for square in parsed)
+        stored = bytes if n <= 255 else tuple
+        assert all(type(square.symbols) is stored for square in (*parsed, *family))
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256])
+    def test_each_block_reaches_its_square_as_it_is_stored(self, n, monkeypatch):
+        # parse hands each block over as bytes up to order 255, which the
+        # square keeps without a conversion of its own, and as a tuple above.
+        handed = []
+        of_symbols = LatinSquare._of_symbols.__func__
+
+        def spy(cls, order, symbols, provenance):
+            handed.append(symbols)
+            return of_symbols(cls, order, symbols, provenance)
+        square = LatinSquare(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
+        text = serialize_square_file(MolsSet(n, (square,) * 2))
+        monkeypatch.setattr(LatinSquare, "_of_symbols", classmethod(spy))
+        parsed = parse_square_file(text)
+        assert parsed.squares == (square, square)
+        assert [type(symbols) for symbols in handed] == [bytes if n <= 255 else tuple] * 2
+        assert all(a is b.symbols for a, b in zip(handed, parsed))
+
+    def test_an_order_1_file_parses(self):
+        for text in ("1 1\n1\n", "1 2\n1\n\n+01\n"):
+            parsed = parse_square_file(text)
+            assert parsed.squares == (LatinSquare(1, ((1,),)),) * len(parsed)
+            assert [square.symbols for square in parsed] == [b"\x01"] * len(parsed)
+        with pytest.raises(SquareFileError, match="line 2, column 1: symbol 2 out of range 1..1"):
+            parse_square_file("1 1\n2\n")
+
+    def test_an_order_101_square_holds_one_byte_per_cell(self):
+        # 10,201 cells: about 10 KB as bytes, against about 82 KB as a tuple.
+        square = parse_square_file(serialize_square_file(make_mols_family(101)))[0]
+        assert 101 * 101 <= sys.getsizeof(square.symbols) < 101 * 101 + 100
+        assert sys.getsizeof(tuple(square.symbols)) > 8 * 101 * 101
 
     def test_round_trip_equality(self, family4, family5):
         for family in (family4, family5):

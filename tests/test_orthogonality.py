@@ -240,19 +240,60 @@ class TestVerifySetOrthogonality:
         assert tuple(report.verdicts) == per_subset_verdicts(one, 2)
         assert report.all_orthogonal
 
-    def test_symbols_that_are_no_bytes_are_decided_from_keys(self):
-        # A set may hold 1.0 for 1, which bytes() refuses: its pairs take
-        # stacked keys at every t, in the t = 2 reports and in the cover.
+    @staticmethod
+    def _decisions(monkeypatch):
+        """Count the pair decisions of verify by route: _pair_report calls
+        on rows, stacked_keys passes on keys."""
+        calls = Counter()
+        for name in ("_pair_report", "stacked_keys"):
+            def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(molsnet.orthogonality, name, spy)
+        return calls
+
+    def test_a_float_symbol_is_its_byte_and_is_decided_from_rows(self, monkeypatch):
+        # 1.0 equals 1, so a square that holds it is stored as the byte 1
+        # and its pairs are decided from rows, in the t = 2 reports and in
+        # the cover, with no stacked_keys pass.
         one = LatinSquare(1, ((1.0,),))
         family = list(make_mols_family(5).squares)
         cells = [list(row) for row in family[1].cells]
         cells[0][cells[0].index(1)] = 1.0
         floated = LatinSquare(5, tuple(map(tuple, cells)))
-        assert floated == family[1]
+        assert floated == family[1] and floated.symbols == family[1].symbols == bytes(
+            s for row in cells for s in map(int, row))
+        calls = self._decisions(monkeypatch)
         for mols in (MolsSet(1, (one,) * 2), MolsSet(1, (one,) * 3),
                      MolsSet(5, (family[0], floated, family[2], floated, family[3]))):
             for t in range(2, min(len(mols), 3) + 1):
-                assert verify_set_orthogonality(mols, t) == enumerate_set_orthogonality(mols, t)
+                calls.clear()
+                report = verify_set_orthogonality(mols, t)
+                assert calls["stacked_keys"] == 0 and calls["_pair_report"] >= 1
+                if t == 2:
+                    assert calls["_pair_report"] == comb(len(mols), 2)
+                assert report == enumerate_set_orthogonality(mols, t)
+
+    def test_order_256_takes_one_key_pass_per_pair(self, monkeypatch):
+        # Above order 255 a square's symbols are a tuple, 1.0 included, and
+        # each pair is decided by one stacked_keys pass.  Squares 1 and 2,
+        # i xor j and i xor 2j in GF(2^8), are orthogonal; square 3 is
+        # square 1 with its rows shifted and one 1 written 1.0.
+        n = 256
+        a = tuple(tuple((i ^ j) + 1 for j in range(n)) for i in range(n))
+        b = tuple(tuple((i ^ (j << 1) ^ (0x11B if j & 0x80 else 0)) + 1 for j in range(n))
+                  for i in range(n))
+        shifted = [list(row) for row in a[1:] + a[:1]]
+        shifted[0][shifted[0].index(1)] = 1.0
+        mols = MolsSet(n, (LatinSquare(n, a), LatinSquare(n, b),
+                           LatinSquare(n, tuple(map(tuple, shifted)))))
+        assert all(type(square.symbols) is tuple for square in mols)
+        calls = self._decisions(monkeypatch)
+        report = verify_set_orthogonality(mols, 2)
+        assert calls == Counter({"stacked_keys": 3})
+        monkeypatch.undo()
+        assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
+        assert [v.indices for v in report.failures] == [(1, 3), (2, 3)]
 
     @pytest.mark.parametrize("n,method", [case for case in FAMILIES if case[0] <= 7])
     def test_matches_full_enumeration_oracle(self, n, method):
@@ -608,6 +649,23 @@ class TestTupleArrayChecks:
                     build()
                 assert str(excinfo.value) == (
                     f"symbols must lie in 1..{n}, got {(cyclic[0][1], value)!r}")
+
+    @pytest.mark.parametrize("n", [2, 255, 256])
+    def test_columns_are_bytes_up_to_order_255_and_int_tuples_above(self, n):
+        # A grid that spells 1 as 1.0 or True is stored as the int grid is,
+        # and the stack of its squares equals it.
+        a = tuple(tuple((r + c) % n + 1 for c in range(n)) for r in range(n))
+        b = tuple(tuple((r + 2 * c) % n + 1 for c in range(n)) for r in range(n))
+        grid = tuple(tuple(zip(x, y)) for x, y in zip(a, b))
+        spelled = tuple(tuple((1.0 if x == 1 else x, True if y == 1 else y) for x, y in row)
+                        for row in grid)
+        arrays = [TupleArray(n, 2, grid), TupleArray(n, 2, spelled),
+                  superimpose([LatinSquare(n, a), LatinSquare(n, b)])]
+        assert arrays[0] == arrays[1] == arrays[2]
+        stored = bytes if n <= 255 else tuple
+        for array in arrays:
+            assert [type(column) for column in array.columns] == [stored] * 2
+            assert {type(s) for column in array.columns for s in column} == {int}
 
     def test_cells_outside_the_grid_are_rejected(self):
         array = TupleArray(2, 2, (((1, 1), (2, 2)), ((2, 1), (1, 2))))

@@ -23,6 +23,9 @@ square and a shuffled square order, optionally with one square duplicated.
   with the oracle; and on both sides of the bytes limit, orders 255, 256
   and 257, the pairs of one orthogonal and one failing pair get the
   per-subset reports, certificate included.
+- A Latin square whose symbols are spelled as ints, floats, Fractions or
+  True equals the all-int square, hash included, is stored as its bytes
+  and gives its rows as ints.
 - The three exports equal the per-edge reference exporter byte for byte on
   scrambled stacks, on orthogonal arrays with isolated vertices, and on
   random arrays built as graphs directly, parallel edges included.
@@ -38,6 +41,7 @@ import contextlib
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -343,6 +347,32 @@ def mixed_pair_sets(draw):
 def test_verify_of_mixed_pairs_agrees_with_the_oracle(case):
     mols, t = case
     assert verify_set_orthogonality(mols, t) == enumerate_set_orthogonality(mols, t)
+
+
+SPELLINGS = (int, float, Fraction, lambda s: True if s == 1 else s)
+
+
+@st.composite
+def respelled_squares(draw):
+    """A square from mixed_latin_squares and its cells with each symbol
+    spelled as an int, a float, a Fraction or, for 1, True."""
+    square = draw(mixed_latin_squares(max_size=2))[0]
+    n = square.order
+    spell = iter(draw(st.lists(st.sampled_from(SPELLINGS), min_size=n * n, max_size=n * n)))
+    return square, tuple(tuple(next(spell)(s) for s in row) for row in square.cells)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(respelled_squares())
+def test_a_square_spelled_with_equal_symbols_is_the_all_int_square(case):
+    square, cells = case
+    respelled = LatinSquare(square.order, cells)
+    assert respelled == square and hash(respelled) == hash(square)
+    assert type(respelled.symbols) is bytes and respelled.symbols == square.symbols
+    assert respelled.cells == square.cells
+    assert {type(s) for row in respelled.cells for s in row} == {int}
+    assert validate_latin(respelled).ok
+    assert superimpose([respelled, square]) == superimpose([square, square])
 
 
 def _xtime(y):

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 import molsnet.squares
 from golden import ORDER4_SQUARES, ORDER5_SQUARES
-from molsnet import (ConstructionError, LatinSquare, MolsSet, SquareFileError, apply_row_shift,
-                     is_prime, make_additive_square, make_mols_family, make_multiplicative_square,
-                     parse_square_file, serialize_square_file, validate_latin)
+from molsnet import (ConstructionError, LatinSquare, LatinViolation, MolsSet, SquareFileError,
+                     ValidationReport, apply_row_shift, is_prime, make_additive_square,
+                     make_mols_family, make_multiplicative_square, parse_square_file,
+                     serialize_square_file, validate_latin)
 from reference import count_latin_violations
 
 
@@ -209,7 +212,7 @@ class TestByteRangeEdges:
         cyclic = _cyclic(n)
         squares = [LatinSquare(n, cyclic)] + [
             LatinSquare(n, _with_cell(cyclic, n // 2, n // 3, value))
-            for value in (0, -1, n + 1, 256, 300, 1.0, True)]
+            for value in (0, -1, n + 1, 256, 300, 1.0, True, 2.5)]
         for square in squares:
             report = count_latin_violations(square)
             assert validate_latin(square) == report
@@ -220,6 +223,22 @@ class TestByteRangeEdges:
                 MolsSet(n, (square,))
             assert str(excinfo.value) == (
                 f"square 1 is not Latin: {report.violations[0].describe()}")
+
+    @pytest.mark.parametrize("value", [2.5, 300])
+    def test_a_symbol_that_equals_no_byte_keeps_the_tuple_and_its_report(self, value):
+        cells = ((1, 2, 3), (2, 3, 1), (3, 1, value))
+        square = LatinSquare(3, cells)
+        assert square.symbols == (1, 2, 3, 2, 3, 1, 3, 1, value)
+        assert type(square.symbols) is tuple and square.cells == cells
+        assert validate_latin(square) == ValidationReport(False, (
+            LatinViolation("row", 3, 2, "missing"), LatinViolation("column", 3, 2, "missing")))
+
+    @pytest.mark.parametrize("value", [1.0, True, Fraction(1)])
+    def test_a_symbol_that_equals_a_byte_is_stored_as_that_byte(self, value):
+        square = LatinSquare(2, ((value, 2), (2, 1)))
+        assert square.symbols == b"\x01\x02\x02\x01"
+        assert square == LatinSquare(2, ((1, 2), (2, 1)))
+        assert repr(square.cells) == "((1, 2), (2, 1))"
 
 
 class TestLatinCheckWork:
@@ -287,15 +306,20 @@ class TestConstructorChecks:
 
 
 class TestRowMajorSymbols:
-    """A square stores its n^2 symbols as one row-major tuple; its rows are
-    derived on read."""
+    """A square stores its n^2 symbols as one row-major sequence, bytes up to
+    order 255 and a tuple above it; its rows are derived on read."""
 
     def test_only_order_symbols_and_provenance_are_stored(self):
         square = LatinSquare(3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "given")
-        assert vars(square) == {"order": 3, "symbols": (1, 2, 3, 2, 3, 1, 3, 1, 2),
+        assert vars(square) == {"order": 3, "symbols": bytes((1, 2, 3, 2, 3, 1, 3, 1, 2)),
                                 "provenance": "given"}
-        assert repr(square) == ("LatinSquare(order=3, symbols=(1, 2, 3, 2, 3, 1, 3, 1, 2), "
+        assert repr(square) == ("LatinSquare(order=3, "
+                                "symbols=b'\\x01\\x02\\x03\\x02\\x03\\x01\\x03\\x01\\x02', "
                                 "provenance='given')")
+        big = make_multiplicative_square(256)
+        assert vars(big) == {"order": 256, "symbols": tuple(big.symbols),
+                             "provenance": "multiplicative"}
+        assert type(big.symbols) is tuple and big.symbols[:3] == (1, 2, 3)
 
     def test_cells_are_a_tuple_of_row_tuples(self):
         square = LatinSquare(3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
@@ -303,10 +327,18 @@ class TestRowMajorSymbols:
         assert LatinSquare(3, square.cells) == square
 
     @pytest.mark.parametrize("n,method", [(5, "additive"), (7, "additive"), (4, "shift"),
-                                          (6, "shift"), (12, "shift")])
+                                          (6, "shift"), (12, "shift"), (256, "shift")])
     def test_builders_agree_with_the_public_constructor(self, n, method):
-        for square in make_mols_family(n, method):
+        if n > 255:
+            base = make_multiplicative_square(n)
+            squares = (base, apply_row_shift(base, 1), apply_row_shift(base, n - 1))
+        else:
+            squares = make_mols_family(n, method).squares
+        stored = bytes if n <= 255 else tuple
+        for square in squares:
             rebuilt = LatinSquare(n, square.cells)
             assert rebuilt == square and hash(rebuilt) == hash(square)
             assert rebuilt.symbols == square.symbols
-            assert type(square.symbols) is tuple and len(square.symbols) == n * n
+            assert type(square.symbols) is type(rebuilt.symbols) is stored
+            assert len(square.symbols) == n * n
+            assert {type(s) for row in square.cells for s in row} == {int}
