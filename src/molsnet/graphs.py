@@ -19,8 +19,8 @@ from operator import add, floordiv, gt, mod
 from typing import Iterator, Sequence
 
 from .errors import InputError, NotOrthogonalError
-from .orthogonality import (Cell, TupleArray, _pair_columns, _row_bytes, cell_of, is_t_orthogonal,
-                            stacked_keys)
+from .orthogonality import (Cell, TupleArray, _pair_columns, _row_bytes, _runs, cell_of,
+                            is_t_orthogonal, stacked_keys)
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
 Edge = tuple[Vertex, Vertex]
@@ -290,13 +290,12 @@ def make_complete_multipartite(sizes: Sequence[int]) -> PartiteGraph:
 def make_turan_graph(m: int, n: int) -> PartiteGraph:
     """Balanced complete m-partite graph on n vertices.
 
-    The n mod m parts of size ceil(n/m) come first.
+    The n mod m parts of size ceil(n/m) come first: the runs that
+    verify_set_orthogonality's Turan cover cuts n squares into.
     """
     if not 1 <= m <= n:
         raise InputError(f"need 1 <= m <= n, got m={m}, n={n}")
-    small, extra = divmod(n, m)
-    sizes = (small + 1,) * extra + (small,) * (m - extra)
-    return make_complete_multipartite(sizes)
+    return make_complete_multipartite(tuple(map(len, _runs(n, m))))
 
 
 def turan_edge_count(m: int, n: int) -> int:
@@ -325,10 +324,11 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
 
     In a chain graph each cell holding s at part p sends one edge to each
     neighbouring part, so the degree of (p, s) is the count of s in column
-    p, once in the end parts and twice inside.  A bytes column (every column
-    up to order 255) whose rows are each a permutation of 1..n holds every
-    symbol n times, so its degrees need no count; any other column (an
-    order above 255, a row that is no permutation) is counted.  The graph
+    p, once in the end parts and twice inside.  The route is chosen by the
+    order: up to order 255, where every column is bytes, a column whose
+    rows are each a permutation of 1..n holds every symbol n times, so its
+    degrees need no count; any other column (a row that is no permutation,
+    or any column above order 255) is counted.  The graph
     is simple when every consecutive column pair holds n^2 distinct symbol
     pairs: on the row route (PartiteGraph._part_pairs) when no stride
     column misses a symbol, on the key route when the keys are distinct;
@@ -343,8 +343,7 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
     full = bytes(range(1, n + 1)) if n <= 255 else None
     degrees = []
     for p, column in enumerate(columns):
-        rows = _row_bytes(column, n)
-        latin = rows and not any(map(full.translate, repeat(None), rows))
+        latin = full and not any(map(full.translate, repeat(None), _row_bytes(column, n)))
         counts = dict.fromkeys(range(1, n + 1), n) if latin else Counter(column)
         neighbours = 1 if p in (0, t - 1) else 2
         degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))

@@ -256,11 +256,10 @@ def _runs(size: int, parts: int) -> Iterator[range]:
         start = stop
 
 
-def _row_bytes(column: Column, n: int) -> list[bytes] | None:
+def _row_bytes(column: bytes, n: int) -> list[bytes]:
     """A square's n rows as byte strings, the pair test's set-up once per
-    square; None when its column is not bytes (an order above 255)."""
-    if type(column) is not bytes:
-        return None
+    square.  Its callers take this route by the order: up to order 255,
+    where every column is bytes."""
     return list(map(column.__getitem__, _lane_slices(n)[0]))
 
 
@@ -315,22 +314,21 @@ def _pair_reports(flat: Sequence[Column], n: int) -> Callable[[int, int], Orthog
     in flat, it returns the pair's report, or None when the pair holds all
     n^2 symbol pairs.
 
-    When both squares' symbols are bytes, as every Latin square's are up
-    to order 255, the pair is decided from their rows (_pair_report); each
-    square's rows are built on its first pair and kept.  Otherwise, at
-    every order above 255, the pair's n^2 stacked keys are made in one
-    stacked_keys pass, and a failing pair's report is read off them.
+    The route is picked once, by the order.  Up to order 255, where every
+    Latin square's symbols are bytes, the pair is decided from the two
+    squares' rows (_pair_report); each square's rows are built on its
+    first pair and kept.  Above order 255 the pair's n^2 stacked keys are
+    made in one stacked_keys pass, and a failing pair's report is read off
+    them.
     """
-    full = cache(lambda: bytes(range(1, n + 1)))     # raises above 255: row path only
+    if n > 255:
+        def report(a: int, b: int) -> OrthogonalityReport | None:
+            keys = stacked_keys(flat[a - 1], flat[b - 1], n)
+            return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))
+        return report
+    full = bytes(range(1, n + 1))
     rows = cache(lambda k: _row_bytes(flat[k - 1], n))
-
-    def report(a: int, b: int) -> OrthogonalityReport | None:
-        rows_a, rows_b = rows(a), rows(b)
-        if rows_a is not None and rows_b is not None:
-            return _pair_report(rows_a, rows_b, full())
-        keys = stacked_keys(flat[a - 1], flat[b - 1], n)
-        return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))
-    return report
+    return lambda a, b: _pair_report(rows(a), rows(b), full)
 
 
 def _prefix_walk(flat: Sequence[Column], n: int, t: int,

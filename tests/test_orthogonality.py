@@ -385,7 +385,9 @@ class TestPairCover:
         for size in range(1, 13):
             for parts in range(1, size + 1):
                 runs = list(_runs(size, parts))
-                assert [len(run) for run in runs] == list(make_turan_graph(parts, size).part_sizes)
+                small, extra = divmod(size, parts)
+                sizes = (small + 1,) * extra + (small,) * (parts - extra)
+                assert tuple(map(len, runs)) == sizes == make_turan_graph(parts, size).part_sizes
                 assert list(itertools.chain.from_iterable(runs)) == list(range(1, size + 1))
 
     @pytest.mark.parametrize("n", [11, 13, 17, 19, 23])

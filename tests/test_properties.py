@@ -23,8 +23,8 @@ square and a shuffled square order, optionally with one square duplicated.
   with the oracle; and on both sides of the bytes limit, orders 255, 256
   and 257, the pairs of one orthogonal and one failing pair get the
   per-subset reports, certificate included.
-- A Latin square whose symbols are spelled as ints, floats, Fractions or
-  True equals the all-int square, hash included, is stored as its bytes
+- A Latin square whose symbols are spelled as ints, floats, Fractions,
+  Decimals or True equals the all-int square, hash included, is stored as its bytes
   and gives its rows as ints.
 - The three exports equal the per-edge reference exporter byte for byte on
   scrambled stacks, on orthogonal arrays with isolated vertices, and on
@@ -41,6 +41,7 @@ import contextlib
 import itertools
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -349,13 +350,13 @@ def test_verify_of_mixed_pairs_agrees_with_the_oracle(case):
     assert verify_set_orthogonality(mols, t) == enumerate_set_orthogonality(mols, t)
 
 
-SPELLINGS = (int, float, Fraction, lambda s: True if s == 1 else s)
+SPELLINGS = (int, float, Fraction, Decimal, lambda s: True if s == 1 else s)
 
 
 @st.composite
 def respelled_squares(draw):
     """A square from mixed_latin_squares and its cells with each symbol
-    spelled as an int, a float, a Fraction or, for 1, True."""
+    spelled as an int, a float, a Fraction, a Decimal or, for 1, True."""
     square = draw(mixed_latin_squares(max_size=2))[0]
     n = square.order
     spell = iter(draw(st.lists(st.sampled_from(SPELLINGS), min_size=n * n, max_size=n * n)))
@@ -400,10 +401,18 @@ def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
     # and (2, 3) are orthogonal and (1, 3) fails with n distinct pairs.  At
     # t = 2 each of the 3 pairs is decided once, by one row report or one
     # key pass, and the prefix walk is never entered.  At t = 3 the cover
-    # is (1, 2) alone, which passes.
+    # is (1, 2) alone, which passes.  The route is picked by the order
+    # alone, so the storage rule it trusts is pinned here: every square,
+    # every superimposed column and every column of a stack built from a
+    # grid is bytes up to order 255 and a tuple above it.
     a, b = _boundary_pair(n)
     assert _holds_every_symbol_pair(a, b)
     mols = MolsSet(n, (a, b, a))
+    stored = bytes if n <= 255 else tuple
+    stack = superimpose(mols)
+    grid = TupleArray(n, 3, stack.grid)
+    for symbols in (*(square.symbols for square in mols), *stack.columns, *grid.columns):
+        assert type(symbols) is stored
     calls = Counter()
     for name in ("_pair_report", "stacked_keys", "_prefix_walk"):
         def spy(*args, _name=name, _original=getattr(orthogonality, name)):
