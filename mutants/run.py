@@ -55,15 +55,18 @@ class Mutant:
 MUTANTS = (
     # The one pair decider (_pair_reports).
     Mutant("every order to the row path", ORTHOGONALITY,
-           "if n > 255:", "if False:", PAIR_TESTS),
+           "if full is None:", "if False:", PAIR_TESTS),
     Mutant("every pair to the key path", ORTHOGONALITY,
-           "if n > 255:", "if True:", PAIR_TESTS),
+           "if full is None:", "if True:", PAIR_TESTS),
     Mutant("None for a failing key pair", ORTHOGONALITY,
-           "return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))",
-           "return None", PAIR_TESTS),
+           "next((v.report for v in _prefix_walk(", "next((None for v in _prefix_walk(",
+           PAIR_TESTS),
+    Mutant("the key-route walk given square a twice", ORTHOGONALITY,
+           "(flat[a - 1], flat[b - 1]), n, 2, set())", "(flat[a - 1], flat[a - 1]), n, 2, set())",
+           PAIR_TESTS),
     Mutant("rows built on every pair", ORTHOGONALITY,
-           "rows = cache(lambda k: _row_bytes(flat[k - 1], n))",
-           "rows = (lambda k: _row_bytes(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
+           "rows = cache(lambda k: _rows(flat[k - 1], n))",
+           "rows = (lambda k: _rows(flat[k - 1], n))", ("tests/test_orthogonality.py",)),
     # The one reader of a pair from rows (_pair_columns) and the pair report.
     Mutant("rows of the joined grid instead of its columns", ORTHOGONALITY,
            "map(joined.__getitem__, _lane_slices(len(full))[1])",
@@ -122,7 +125,7 @@ MUTANTS = (
            "pack(map(table.__getitem__, column))", "pack(map(table.__getitem__, column)) and column",
            ("tests/test_export.py",)),
     Mutant("every column stored as a tuple", ORTHOGONALITY,
-           "pack = bytes if order <= 255 else tuple", "pack = tuple",
+           "pack = tuple if full is None else bytes", "pack = tuple",
            ("tests/test_orthogonality.py",)),
     Mutant("an unhashable symbol not caught", ORTHOGONALITY,
            "except (KeyError, TypeError):", "except KeyError:", ("tests/test_orthogonality.py",)),
@@ -133,13 +136,16 @@ MUTANTS = (
     Mutant("the byte table read dropped from LatinSquare", SQUARES,
            "symbols = bytes(map(_BYTE_VALUES.__getitem__, symbols))", "symbols = tuple(symbols)",
            ("tests/test_squares.py",)),
-    Mutant("parse stores tuples", FILES,
-           "bytes(flat) if order <= 255 else tuple(flat)", "tuple(flat)", ("tests/test_files.py",)),
+    Mutant("parse stores tuples", SQUARES,
+           "symbols = bytes(symbols)", "symbols = tuple(symbols)", ("tests/test_files.py",)),
     Mutant("the order-1 row not wrapped", FILES,
            "flat += values if order > 1 else (values,)", "flat += values", ("tests/test_files.py",)),
-    # The byte-string Latin check.
+    # The storage rule's one limit (_full) and the byte-string Latin check.
+    Mutant("the bytes limit at 254", SQUARES,
+           "if n <= 255 else None", "if n <= 254 else None", PAIR_TESTS),
     Mutant("accept every square", SQUARES,
-           "if _lanes_are_permutations(square):", "if True:", ("tests/test_squares.py",)),
+           "return _count_violations(square)", "return ValidationReport(True)",
+           ("tests/test_squares.py",)),
     Mutant("translate the wrong way round", SQUARES,
            "map(full.translate, repeat(None), lanes)",
            "(lane.translate(None, full) for lane in lanes)", ("tests/test_squares.py",)),
@@ -148,12 +154,12 @@ MUTANTS = (
     Mutant("column slices only in the lane helper", SQUARES,
            "chain(*_lane_slices(n))", "_lane_slices(n)[1]", ("tests/test_squares.py",)),
     Mutant("symbol 0 taken as a byte of 1..n", SQUARES,
-           "full = bytes(range(1, n + 1))", "full = bytes(range(0, n + 1))",
+           "bytes(range(1, n + 1)) if n <= 255", "bytes(range(0, n + 1)) if n <= 255",
            ("tests/test_squares.py",)),
     # The route of chain part pairs, their per-tail heads, the multiplicity
     # report and the stats.
     Mutant("tail-row permutation check dropped", GRAPHS,
-           "not any(map(full.translate, repeat(None), rows_a))", "True", ("tests/test_export.py",)),
+           "if rows_a and _permutes(full, rows_a):", "if rows_a:", ("tests/test_export.py",)),
     Mutant("repeated heads left unsorted", GRAPHS,
            "sorted(heads) if full.translate(None, heads) else full",
            "heads if full.translate(None, heads) else full", ("tests/test_export.py",)),
@@ -161,22 +167,28 @@ MUTANTS = (
            "sorted(heads) if full.translate(None, heads) else full", "full",
            ("tests/test_export.py",)),
     Mutant("a failing row-route pair taken as orthogonal", GRAPHS,
-           "return not any(map(full.translate, repeat(None), pair)) if full else",
-           "return True if full else", ("tests/test_graphs.py",)),
+           "if full and _permutes(full, pair):", "if full:", ("tests/test_graphs.py",)),
+    Mutant("a failing row-route pair taken as simple", GRAPHS,
+           "all(_permutes(route, pair) if route else", "all(True if route else",
+           ("tests/test_graphs.py",)),
     Mutant("tail offsets shifted by one tail", GRAPHS,
            "for tail in range(n + 1, (n + 1) ** 2, n + 1)",
            "for tail in range(2 * (n + 1), (n + 1) * (n + 2), n + 1)", ("tests/test_graphs.py",)),
     Mutant("graph_stats reads simplicity from the first part pair only", GRAPHS,
-           "all(starmap(_holds_every_pair, graph._part_pairs()))",
-           "next(starmap(_holds_every_pair, graph._part_pairs()))", ("tests/test_export.py",)),
+           "all(_permutes(route, pair) if route", "next(_permutes(route, pair) if route",
+           ("tests/test_export.py",)),
     Mutant("repeated keys left in cell order", GRAPHS,
            "parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
            "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
            ("tests/test_export.py",)),
     Mutant("degrees taken as n for a column with a non-permutation row", GRAPHS,
-           "latin = full and not any(map(full.translate, repeat(None), _row_bytes(column, n)))",
+           "latin = full and _permutes(full, _rows(column, n))",
            "latin = full",
            ("tests/test_graphs.py",)),
+    # The isolated vertices of the edge list.
+    Mutant("isolated names list every symbol", EXPORT,
+           "full.translate(None, column) if full else", "full if full else",
+           ("tests/test_export.py",)),
     # The one table of export formats.
     Mutant("two writers swapped in the export table", EXPORT,
            '{"dot": _to_dot, "edges": _to_edge_list,', '{"dot": _to_edge_list, "edges": _to_dot,',

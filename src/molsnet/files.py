@@ -9,8 +9,9 @@ tolerates extra blank lines at the end of the file.  Error positions use
 Whether blocks are Latin is checked once, by MolsSet, after the whole text
 is read, so a syntax fault anywhere is reported before a non-Latin block.
 Each row is read with one gather from a table of the canonical spellings,
-and each block becomes a square's symbols as they are stored: bytes up to
-order 255, a tuple of ints above it.
+and each block's list of ints goes to LatinSquare._of_symbols, whose _set
+stores it by the storage rule of squares.py: bytes up to order 255, a tuple
+of ints above it.
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ def parse_square_file(text: str) -> MolsSet:
             except KeyError:
                 flat += _convert_row(tokens, order, line_no)
             cursor += 1
-        squares.append(LatinSquare._of_symbols(
-            order, bytes(flat) if order <= 255 else tuple(flat), EXTERNAL))
+        squares.append(LatinSquare._of_symbols(order, flat, EXTERNAL))
     while cursor < len(lines):
         if lines[cursor].strip():
             raise SquareFileError("unexpected content after the final block", line=cursor + 1)

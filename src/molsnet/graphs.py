@@ -13,14 +13,15 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, pairwise, repeat, starmap
+from itertools import compress, pairwise, repeat
 from math import comb
 from operator import add, floordiv, gt, mod
 from typing import Iterator, Sequence
 
 from .errors import InputError, NotOrthogonalError
-from .orthogonality import (Cell, TupleArray, _pair_columns, _row_bytes, _runs, cell_of,
-                            is_t_orthogonal, stacked_keys)
+from .orthogonality import (Cell, TupleArray, _pair_columns, _runs, cell_of, is_t_orthogonal,
+                            stacked_keys)
+from .squares import _full, _permutes, _rows
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
 Edge = tuple[Vertex, Vertex]
@@ -121,20 +122,20 @@ class PartiteGraph:
         """Per part pair c of a chain graph, the pair by the one route rule
         that every reader of its edges (c, u) -> (c+1, v) follows.
 
-        Row route: up to order 255, where every column is bytes, when every
-        row of column c is a permutation of 1..n, (full, columns), with full
-        bytes 1..n and columns the pair's stride columns
-        (orthogonality._pair_columns): columns[u - 1] holds the heads of
-        tail u's n edges, one per row.
+        Row route: up to order 255 (squares._full), where every column is
+        bytes, when every row of column c is a permutation of 1..n
+        (squares._permutes), (full, columns), with full bytes 1..n and
+        columns the pair's stride columns (orthogonality._pair_columns):
+        columns[u - 1] holds the heads of tail u's n edges, one per row.
         Key route, every other part pair (an order above 255, or a row of
         column c that is no permutation): (None, keys), the pair's stacked
         keys u * (n+1) + v in cell order, made in one pass.
         """
         n, columns = self.array.order, self.array.columns
-        full = bytes(range(1, n + 1)) if n <= 255 else None
-        rows = (_row_bytes(column, n) if full else None for column in columns)
+        full = _full(n)
+        rows = (_rows(column, n) if full else None for column in columns)
         for c, (rows_a, rows_b) in enumerate(pairwise(rows)):
-            if rows_a and not any(map(full.translate, repeat(None), rows_a)):
+            if rows_a and _permutes(full, rows_a):
                 yield full, _pair_columns(rows_a, rows_b, full)
             else:
                 yield None, stacked_keys(columns[c], columns[c + 1], n)
@@ -224,13 +225,6 @@ class MultiplicityReport:
                      for u, v, count in zip(tails, heads, counts))
 
 
-def _holds_every_pair(full: bytes | None, pair: list) -> bool:
-    """Whether a part pair from PartiteGraph._part_pairs holds all n^2 symbol
-    pairs: on the row route when no stride column misses a symbol, on the
-    key route when its keys are distinct."""
-    return not any(map(full.translate, repeat(None), pair)) if full else len(set(pair)) == len(pair)
-
-
 def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     """Parallel-edge report for a chain graph, sorted by endpoints.
 
@@ -251,7 +245,7 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     offsets = cache(lambda: [tail for tail in range(n + 1, (n + 1) ** 2, n + 1) for _ in range(n)])
     repeated = []
     for c, (full, pair) in enumerate(graph._part_pairs()):
-        if full and _holds_every_pair(full, pair):
+        if full and _permutes(full, pair):
             continue
         counts = Counter(map(add, offsets(), b"".join(pair)) if full else pair)
         if len(counts) < n * n:
@@ -325,30 +319,32 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
     In a chain graph each cell holding s at part p sends one edge to each
     neighbouring part, so the degree of (p, s) is the count of s in column
     p, once in the end parts and twice inside.  The route is chosen by the
-    order: up to order 255, where every column is bytes, a column whose
-    rows are each a permutation of 1..n holds every symbol n times, so its
-    degrees need no count; any other column (a row that is no permutation,
-    or any column above order 255) is counted.  The graph
-    is simple when every consecutive column pair holds n^2 distinct symbol
-    pairs: on the row route (PartiteGraph._part_pairs) when no stride
-    column misses a symbol, on the key route when the keys are distinct;
-    the first part pair that repeats an edge ends the test.  In a complete
-    multipartite graph a vertex meets every vertex outside its part.
+    order (squares._full): up to order 255, where every column is bytes, a
+    column whose rows are each a permutation of 1..n (squares._permutes)
+    holds every symbol n times, so its degrees need no count; any other
+    column (a row that is no permutation, or any column above order 255) is
+    counted.  The graph is simple when every consecutive column pair holds
+    n^2 distinct symbol pairs: on the row route (PartiteGraph._part_pairs)
+    when its stride columns are permutations, on the key route when the
+    keys are distinct; the first part pair that repeats an edge ends the
+    test.  In a complete multipartite graph a vertex meets every vertex
+    outside its part.
     """
     if graph.array is None:
         total = graph.vertex_count
         degrees = tuple((total - size,) * size for size in graph.part_sizes)
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
     n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
-    full = bytes(range(1, n + 1)) if n <= 255 else None
+    full = _full(n)
     degrees = []
     for p, column in enumerate(columns):
-        latin = full and not any(map(full.translate, repeat(None), _row_bytes(column, n)))
+        latin = full and _permutes(full, _rows(column, n))
         counts = dict.fromkeys(range(1, n + 1), n) if latin else Counter(column)
         neighbours = 1 if p in (0, t - 1) else 2
         degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
-                      tuple(degrees), all(starmap(_holds_every_pair, graph._part_pairs())))
+                      tuple(degrees), all(_permutes(route, pair) if route else len(set(pair)) == n * n
+                                          for route, pair in graph._part_pairs()))
 
 
 def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain, ...]:

@@ -15,7 +15,7 @@ from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .squares import LatinSquare, MolsSet, _lane_slices
+from .squares import LatinSquare, MolsSet, _full, _lane_slices, _rows
 
 Cell = tuple[int, int]            # (row, column), 1-based
 SymbolTuple = tuple[int, ...]
@@ -66,8 +66,8 @@ class TupleArray:
         table does not hold, or cannot hash such as a list, is reported as
         the first bad entry.
         """
-        pack = bytes if order <= 255 else tuple
-        full = bytes(range(1, order + 1)) if pack is bytes else None
+        full = _full(order)
+        pack = tuple if full is None else bytes
         table = {s: s for s in range(1, order + 1)}
         try:
             columns = tuple(column if full and type(column) is bytes and
@@ -81,7 +81,7 @@ class TupleArray:
     @property
     def grid(self) -> tuple[tuple[SymbolTuple, ...], ...]:
         entries = tuple(zip(*self.columns))
-        return tuple(map(entries.__getitem__, _lane_slices(self.order)[0]))
+        return tuple(_rows(entries, self.order))
 
     def tuple_at(self, i: int, j: int) -> SymbolTuple:
         """Tuple in row i, column j (1-based)."""
@@ -256,13 +256,6 @@ def _runs(size: int, parts: int) -> Iterator[range]:
         start = stop
 
 
-def _row_bytes(column: bytes, n: int) -> list[bytes]:
-    """A square's n rows as byte strings, the pair test's set-up once per
-    square.  Its callers take this route by the order: up to order 255,
-    where every column is bytes."""
-    return list(map(column.__getitem__, _lane_slices(n)[0]))
-
-
 def _pair_columns(rows_a: Sequence[bytes], rows_b: Sequence[bytes], full: bytes) -> list[bytes]:
     """The one reader of a pair of squares A, B from their rows: the n
     stride-n columns of the pair's joined grid.
@@ -314,20 +307,18 @@ def _pair_reports(flat: Sequence[Column], n: int) -> Callable[[int, int], Orthog
     in flat, it returns the pair's report, or None when the pair holds all
     n^2 symbol pairs.
 
-    The route is picked once, by the order.  Up to order 255, where every
-    Latin square's symbols are bytes, the pair is decided from the two
-    squares' rows (_pair_report); each square's rows are built on its
-    first pair and kept.  Above order 255 the pair's n^2 stacked keys are
-    made in one stacked_keys pass, and a failing pair's report is read off
-    them.
+    The route is picked once, by the order (squares._full).  Up to order
+    255, where every Latin square's symbols are bytes, the pair is decided
+    from the two squares' rows (_pair_report); each square's rows are built
+    on its first pair and kept.  Above order 255 the pair is the prefix
+    walk's one subset (_prefix_walk), as the stack of is_t_orthogonal is,
+    so the walk is the one decider of stacked keys.
     """
-    if n > 255:
-        def report(a: int, b: int) -> OrthogonalityReport | None:
-            keys = stacked_keys(flat[a - 1], flat[b - 1], n)
-            return None if len(set(keys)) == n * n else _collision_report(keys, n, range(n * n))
-        return report
-    full = bytes(range(1, n + 1))
-    rows = cache(lambda k: _row_bytes(flat[k - 1], n))
+    full = _full(n)
+    if full is None:
+        return lambda a, b: next((v.report for v in _prefix_walk(
+            (flat[a - 1], flat[b - 1]), n, 2, set())), None)
+    rows = cache(lambda k: _rows(flat[k - 1], n))
     return lambda a, b: _pair_report(rows(a), rows(b), full)
 
 
@@ -345,9 +336,10 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     tested, because one column decides nothing: for n >= 2 its n^2 keys,
     symbols of 1..n, repeat, and for n = 1 every child settles.  A failing
     leaf reads its certificate off its keys (_collision_report).
-    is_t_orthogonal walks the one subset of its stack.
-    verify_set_orthogonality walks only at t >= 3, from the first failing
-    pair of its Turan cover; at t = 2 every pair is decided on its own.
+    is_t_orthogonal walks the one subset of its stack, and _pair_reports
+    each pair above order 255.  verify_set_orthogonality walks its whole set
+    only at t >= 3, from the first failing pair of its Turan cover; at
+    t = 2 every pair is decided on its own.
     """
     size = len(flat)
     failures: list[SubsetVerdict] = []

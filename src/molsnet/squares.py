@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConstructionError, NotLatinError
 
@@ -89,7 +89,7 @@ class LatinSquare:
 
     @property
     def cells(self) -> Grid:
-        return tuple(map(tuple, map(self.symbols.__getitem__, _lane_slices(self.order)[0])))
+        return tuple(map(tuple, _rows(self.symbols, self.order)))
 
 
 # Each int that fits in a byte, keyed by itself, so a symbol that equals one
@@ -125,7 +125,9 @@ def validate_latin(square: LatinSquare) -> ValidationReport:
     0..255) and every square of order above 255, whose 1..n does not fit
     in bytes.
     """
-    if _lanes_are_permutations(square):
+    n, flat, full = square.order, square.symbols, _full(square.order)
+    lanes = map(flat.__getitem__, chain(*_lane_slices(n)))
+    if full and type(flat) is bytes and _permutes(full, lanes):
         return ValidationReport(True)
     return _count_violations(square)
 
@@ -139,14 +141,24 @@ def _lane_slices(n: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
             tuple(slice(j, None, n) for j in range(n)))
 
 
-def _lanes_are_permutations(square: LatinSquare) -> bool:
-    """Whether every lane deletes all of bytes 1..n; False unless the
-    symbols are bytes and 1..n fits in bytes."""
-    n, flat = square.order, square.symbols
-    if type(flat) is not bytes or n > 255:
-        return False
-    full = bytes(range(1, n + 1))
-    lanes = map(flat.__getitem__, chain(*_lane_slices(n)))
+@cache
+def _full(n: int) -> bytes | None:
+    """The storage rule's one limit: bytes 1..n up to order 255, where every
+    Latin square's symbols and every stack column are bytes, and None above
+    it, where 1..n does not fit in bytes and they are tuples.  Every layer
+    that picks a route by the order reads it here."""
+    return bytes(range(1, n + 1)) if n <= 255 else None
+
+
+def _rows(flat: bytes | Row, n: int) -> list[bytes | Row]:
+    """The one row cut: the n rows of a row-major n x n grid, each of the
+    grid's own type."""
+    return list(map(flat.__getitem__, _lane_slices(n)[0]))
+
+
+def _permutes(full: bytes, lanes: Iterable[bytes]) -> bool:
+    """Whether every lane, bytes of length n, holds each of 1..n (full is
+    _full(n)): one that does deletes all of full, so it is a permutation."""
     return not any(map(full.translate, repeat(None), lanes))
 
 

@@ -257,7 +257,7 @@ class TestVerifyOutputBound:
         path = tmp_path / "additive101.txt"
         path.write_text(serialize_square_file(make_mols_family(101)))
         passes = Counter()
-        for name in ("_row_bytes", "_pair_report", "_scaled", "_appended"):
+        for name in ("_rows", "_pair_report", "_scaled", "_appended"):
             def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
                 passes[_name] += 1
                 return _original(*args)
@@ -268,7 +268,7 @@ class TestVerifyOutputBound:
             _left_out(total, 0, 10_000),
             f"result: all {total} subsets are 50-orthogonal"]
         assert passes["_pair_report"] == 53 == comb(100, 2) - turan_edge_count(49, 100)
-        assert passes["_row_bytes"] == 100
+        assert passes["_rows"] == 100
         assert passes["_scaled"] == passes["_appended"] == 0
 
 
@@ -443,7 +443,7 @@ class TestStats:
         path = tmp_path / "family.txt"
         path.write_text(serialize_square_file(family))
         built, cut = [], []
-        stacked_keys, row_bytes = molsnet.graphs.stacked_keys, molsnet.graphs._row_bytes
+        stacked_keys, rows = molsnet.graphs.stacked_keys, molsnet.graphs._rows
 
         def spy(keys, column, n):
             built.append(n)
@@ -451,9 +451,9 @@ class TestStats:
 
         def row_spy(column, n):
             cut.append(n)
-            return row_bytes(column, n)
+            return rows(column, n)
         monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
-        monkeypatch.setattr(molsnet.graphs, "_row_bytes", row_spy)
+        monkeypatch.setattr(molsnet.graphs, "_rows", row_spy)
         assert main(["stats", "--t", "4", "--in", str(path)]) == 0
         assert built == [order] * (3 if order > 255 else 0)
         assert cut == [order] * (4 if order <= 255 else 0)

@@ -8,7 +8,8 @@ import molsnet.export
 import molsnet.graphs
 from molsnet import (CHAIN, FORMATS, LatinSquare, PartiteGraph, TupleArray, build_partite_graph,
                      channels_through, edge_multiplicity, export_graph, graph_stats,
-                     make_complete_multipartite, make_mols_family, make_turan_graph, superimpose)
+                     make_complete_multipartite, make_mols_family, make_turan_graph, superimpose,
+                     vertex_name)
 from reference import cell_pair_counts, per_edge_export
 
 
@@ -57,6 +58,19 @@ class TestEdgeListFormat:
             f"{edge}\n" * 3 for edge in ("A1 B1", "A1 B2", "A1 B3", "B1 C2", "B2 C2", "B3 C2"))
         for fmt in FORMATS:
             assert export_graph(graph, fmt).content == per_edge_export(graph, fmt)
+        # On both sides of the bytes limit, a stack whose three columns each
+        # miss symbols, 256 among them at order 256, lists the same names as
+        # a set difference of each column, ascending.
+        for n in (255, 256):
+            grid = tuple(tuple(((i + j) % 5 + 1, j // 2 + 1, i * j % 11 * 3 + 1) for j in range(n))
+                         for i in range(n))
+            graph = PartiteGraph(CHAIN, (n,) * 3, TupleArray(n, 3, grid))
+            columns = zip(*itertools.chain.from_iterable(grid))
+            expected = [vertex_name((p, s)) for p, column in enumerate(columns)
+                        for s in sorted(set(range(1, n + 1)).difference(column))]
+            lines = export_graph(graph, "edges").content.splitlines()
+            assert list(itertools.takewhile(lambda line: " " not in line, lines)) == expected
+            assert f"A{n}" in expected and f"C{n}" in expected
 
     def test_mixed_isolated_and_edges(self):
         graph = make_complete_multipartite((1, 2))

@@ -40,22 +40,17 @@ class TestParse:
         assert all(type(square.symbols) is stored for square in (*parsed, *family))
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256])
-    def test_each_block_reaches_its_square_as_it_is_stored(self, n, monkeypatch):
-        # parse hands each block over as bytes up to order 255, which the
-        # square keeps without a conversion of its own, and as a tuple above.
-        handed = []
-        of_symbols = LatinSquare._of_symbols.__func__
-
-        def spy(cls, order, symbols, provenance):
-            handed.append(symbols)
-            return of_symbols(cls, order, symbols, provenance)
+    def test_each_block_reaches_its_square_as_it_is_stored(self, n):
+        # parse hands each block's ints to the square, whose one
+        # normalization stores them as bytes up to order 255 and as a tuple
+        # of ints above it, equal to the ints read.
         square = LatinSquare(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
-        text = serialize_square_file(MolsSet(n, (square,) * 2))
-        monkeypatch.setattr(LatinSquare, "_of_symbols", classmethod(spy))
-        parsed = parse_square_file(text)
+        parsed = parse_square_file(serialize_square_file(MolsSet(n, (square,) * 2)))
         assert parsed.squares == (square, square)
-        assert [type(symbols) for symbols in handed] == [bytes if n <= 255 else tuple] * 2
-        assert all(a is b.symbols for a, b in zip(handed, parsed))
+        stored = bytes if n <= 255 else tuple
+        assert [type(block.symbols) for block in parsed] == [stored] * 2
+        cells = [(i + j) % n + 1 for i in range(n) for j in range(n)]
+        assert all(list(block.symbols) == cells for block in parsed)
 
     def test_an_order_1_file_parses(self):
         for text in ("1 1\n1\n", "1 2\n1\n\n+01\n"):

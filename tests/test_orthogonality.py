@@ -243,9 +243,9 @@ class TestVerifySetOrthogonality:
     @staticmethod
     def _decisions(monkeypatch):
         """Count the pair decisions of verify by route: _pair_report calls
-        on rows, stacked_keys passes on keys."""
+        on rows, and prefix walks and their key passes (_appended) on keys."""
         calls = Counter()
-        for name in ("_pair_report", "stacked_keys"):
+        for name in ("_pair_report", "_prefix_walk", "_appended"):
             def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -255,7 +255,7 @@ class TestVerifySetOrthogonality:
     def test_a_float_symbol_is_its_byte_and_is_decided_from_rows(self, monkeypatch):
         # 1.0 equals 1, so a square that holds it is stored as the byte 1
         # and its pairs are decided from rows, in the t = 2 reports and in
-        # the cover, with no stacked_keys pass.
+        # the cover, with no walk and no key pass.
         one = LatinSquare(1, ((1.0,),))
         family = list(make_mols_family(5).squares)
         cells = [list(row) for row in family[1].cells]
@@ -269,16 +269,18 @@ class TestVerifySetOrthogonality:
             for t in range(2, min(len(mols), 3) + 1):
                 calls.clear()
                 report = verify_set_orthogonality(mols, t)
-                assert calls["stacked_keys"] == 0 and calls["_pair_report"] >= 1
+                assert calls["_prefix_walk"] == calls["_appended"] == 0
+                assert calls["_pair_report"] >= 1
                 if t == 2:
                     assert calls["_pair_report"] == comb(len(mols), 2)
                 assert report == enumerate_set_orthogonality(mols, t)
 
     def test_order_256_takes_one_key_pass_per_pair(self, monkeypatch):
         # Above order 255 a square's symbols are a tuple, 1.0 included, and
-        # each pair is decided by one stacked_keys pass.  Squares 1 and 2,
-        # i xor j and i xor 2j in GF(2^8), are orthogonal; square 3 is
-        # square 1 with its rows shifted and one 1 written 1.0.
+        # each pair is decided by one prefix walk on the pair, whose one
+        # child is one key pass.  Squares 1 and 2, i xor j and i xor 2j in
+        # GF(2^8), are orthogonal; square 3 is square 1 with its rows
+        # shifted and one 1 written 1.0.
         n = 256
         a = tuple(tuple((i ^ j) + 1 for j in range(n)) for i in range(n))
         b = tuple(tuple((i ^ (j << 1) ^ (0x11B if j & 0x80 else 0)) + 1 for j in range(n))
@@ -290,7 +292,7 @@ class TestVerifySetOrthogonality:
         assert all(type(square.symbols) is tuple for square in mols)
         calls = self._decisions(monkeypatch)
         report = verify_set_orthogonality(mols, 2)
-        assert calls == Counter({"stacked_keys": 3})
+        assert calls == Counter({"_prefix_walk": 3, "_appended": 3})
         monkeypatch.undo()
         assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
         assert [v.indices for v in report.failures] == [(1, 3), (2, 3)]
@@ -332,7 +334,7 @@ def _pair_passes(monkeypatch, mols):
     passes, first_of, rows_of, held = Counter(), {}, {}, []
     columns = {id(square.symbols): k for k, square in enumerate(mols.squares, start=1)}
     orthogonality = molsnet.orthogonality
-    rows_original, report_original = orthogonality._row_bytes, orthogonality._pair_report
+    rows_original, report_original = orthogonality._rows, orthogonality._pair_report
     scaled_original, appended_original = orthogonality._scaled, orthogonality._appended
 
     def rows_spy(column, n):
@@ -356,7 +358,7 @@ def _pair_passes(monkeypatch, mols):
         if id(scaled) in first_of:
             passes[first_of[id(scaled)], columns[id(column)]] += 1
         return appended_original(scaled, column)
-    monkeypatch.setattr(orthogonality, "_row_bytes", rows_spy)
+    monkeypatch.setattr(orthogonality, "_rows", rows_spy)
     monkeypatch.setattr(orthogonality, "_pair_report", report_spy)
     monkeypatch.setattr(orthogonality, "_scaled", scaled_spy)
     monkeypatch.setattr(orthogonality, "_appended", appended_spy)
@@ -418,12 +420,12 @@ class TestPairCover:
         # t = 2 every pair gets its report from rows, so each square's rows
         # are built once, in order.
         family, built = make_mols_family(n, "shift"), []
-        original = molsnet.orthogonality._row_bytes
+        original = molsnet.orthogonality._rows
 
         def spy(column, order):
             built.append(column)
             return original(column, order)
-        monkeypatch.setattr(molsnet.orthogonality, "_row_bytes", spy)
+        monkeypatch.setattr(molsnet.orthogonality, "_rows", spy)
         verify_set_orthogonality(family, 3)
         assert built == [family.squares[0].symbols, family.squares[1].symbols]
         built.clear()

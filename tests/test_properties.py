@@ -56,7 +56,8 @@ from molsnet import (CHAIN, FORMATS, LatinSquare, MolsSet, NotOrthogonalError,
                      verify_set_orthogonality, vertex_name)
 from molsnet import orthogonality
 from molsnet.files import decode_square_file
-from molsnet.orthogonality import _pair_report, _row_bytes
+from molsnet.orthogonality import _pair_report
+from molsnet.squares import _rows
 from reference import (count_latin_violations, occurrence_report, per_edge_export,
                        per_subset_verdicts)
 
@@ -292,8 +293,7 @@ def _holds_every_symbol_pair(a, b):
 def _row_report(a, b):
     """_pair_report on two squares, with None read as the orthogonal report."""
     n = a.order
-    report = _pair_report(_row_bytes(a.symbols, n), _row_bytes(b.symbols, n),
-                          bytes(range(1, n + 1)))
+    report = _pair_report(_rows(a.symbols, n), _rows(b.symbols, n), bytes(range(1, n + 1)))
     return report or OrthogonalityReport(True, n * n, None)
 
 
@@ -399,12 +399,12 @@ def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
     # Bytes hold symbols up to 255: order 255 is decided from rows, orders
     # 256 and 257 from stacked keys.  Square 3 repeats square 1, so (1, 2)
     # and (2, 3) are orthogonal and (1, 3) fails with n distinct pairs.  At
-    # t = 2 each of the 3 pairs is decided once, by one row report or one
-    # key pass, and the prefix walk is never entered.  At t = 3 the cover
-    # is (1, 2) alone, which passes.  The route is picked by the order
-    # alone, so the storage rule it trusts is pinned here: every square,
-    # every superimposed column and every column of a stack built from a
-    # grid is bytes up to order 255 and a tuple above it.
+    # t = 2 each of the 3 pairs is decided once, by one row report or by
+    # one prefix walk on the pair, and stacked_keys is never called.  At
+    # t = 3 the cover is (1, 2) alone, which passes.  The route is picked
+    # by the order alone, so the storage rule it trusts is pinned here:
+    # every square, every superimposed column and every column of a stack
+    # built from a grid is bytes up to order 255 and a tuple above it.
     a, b = _boundary_pair(n)
     assert _holds_every_symbol_pair(a, b)
     mols = MolsSet(n, (a, b, a))
@@ -419,7 +419,7 @@ def test_both_sides_of_the_bytes_limit_decide_pairs_exactly(n, monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(orthogonality, name, spy)
-    decision = "_pair_report" if n <= 255 else "stacked_keys"
+    decision = "_pair_report" if n <= 255 else "_prefix_walk"
     report = verify_set_orthogonality(mols, 2)
     assert calls == Counter({decision: 3})
     calls.clear()

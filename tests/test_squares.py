@@ -1,4 +1,7 @@
+import ast
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +345,17 @@ class TestRowMajorSymbols:
             assert type(square.symbols) is type(rebuilt.symbols) is stored
             assert len(square.symbols) == n * n
             assert {type(s) for row in square.cells for s in row} == {int}
+
+
+def test_the_bytes_limit_is_written_only_in_squares():
+    # squares._full is the one home of the storage rule's limit: every other
+    # module reads its route from there, so no number in their code spells
+    # 255 or 256, however it is written.
+    holders = set()
+    for path in Path(molsnet.squares.__file__).parent.glob("*.py"):
+        with path.open("rb") as source:
+            numbers = [token.string for token in tokenize.tokenize(source.readline)
+                       if token.type == tokenize.NUMBER]
+        if any(ast.literal_eval(number) in (255, 256) for number in numbers):
+            holders.add(path.name)
+    assert holders == {"squares.py"}
