@@ -93,13 +93,35 @@ MUTANTS = (
     Mutant("passed pairs not recorded", ORTHOGONALITY,
            "passed.add(pair)", "pass", PAIR_TESTS),
     Mutant("the failing cover pair recorded as passed", ORTHOGONALITY,
-           "_prefix_walk(flat, n, t, passed)))", "_prefix_walk(flat, n, t, passed | {pair})))",
-           PAIR_TESTS),
+           "_pruned_failures(flat, n, t, rows, passed, pair))",
+           "_pruned_failures(flat, n, t, rows, passed | {pair}, pair))", PAIR_TESTS),
     Mutant("t runs instead of t-1", ORTHOGONALITY,
            "_runs(size, t - 1)", "_runs(size, t)", PAIR_TESTS),
     Mutant("no skip of passed pairs", ORTHOGONALITY,
            "if any((p, k) in orthogonal_pairs for p in prefix):",
            "if False:", ("tests/test_orthogonality.py",)),
+    # Past a failing cover at t >= 3 up to order 255: the pair prune, the
+    # route rule and the row-pair groups (_pruned_failures).
+    Mutant("a prune threshold of t - 2", ORTHOGONALITY,
+           "if fails[k] >= t - 1]", "if fails[k] >= t - 2]", PAIR_TESTS),
+    Mutant("the route rule flipped", ORTHOGONALITY,
+           "if 2 * len(kept) >= n:", "if 2 * len(kept) < n:", PAIR_TESTS),
+    Mutant("the walk given no passing pair", ORTHOGONALITY,
+           "for a, b in orthogonal\n", "for a, b in ()\n", PAIR_TESTS),
+    Mutant("the walk's subsets left in the positions of the kept squares", ORTHOGONALITY,
+           "SubsetVerdict(tuple(kept[q - 1] for q in v.indices), v.report)",
+           "SubsetVerdict(v.indices, v.report)", PAIR_TESTS),
+    Mutant("r' ranging from r", ORTHOGONALITY,
+           "for r, r2 in itertools.combinations(range(n), 2):",
+           "for r, r2 in itertools.combinations_with_replacement(range(n), 2):", PAIR_TESTS),
+    Mutant("a group threshold of t - 1", ORTHOGONALITY,
+           "map(ge, counts.values(), itertools.repeat(t))",
+           "map(ge, counts.values(), itertools.repeat(t - 1))", PAIR_TESTS),
+    Mutant("an inverse table taken from the wrong square", ORTHOGONALITY,
+           "for square, inverse in zip(rows, inverses)",
+           "for square, inverse in zip(rows, inverses[1:] + inverses[:1])", PAIR_TESTS),
+    Mutant("one report per subset, not per set of distinct squares", ORTHOGONALITY,
+           "report = reports.get(squares)", "report = None", PAIR_TESTS),
     # is_t_orthogonal: the walk on the one subset 1..t.
     Mutant("is_t_orthogonal walks arity - 1 columns", ORTHOGONALITY,
            "_prefix_walk(array.columns, n, array.arity, set())",
@@ -182,9 +204,12 @@ MUTANTS = (
            "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
            ("tests/test_export.py",)),
     Mutant("degrees taken as n for a column with a non-permutation row", GRAPHS,
-           "latin = full and _permutes(full, _rows(column, n))",
+           "latin = full and _permutes(full, rows[p])",
            "latin = full",
            ("tests/test_graphs.py",)),
+    Mutant("graph_stats cuts each column's rows again for simplicity", GRAPHS,
+           "for route, pair in graph._part_pairs(rows)))",
+           "for route, pair in graph._part_pairs()))", ("tests/test_graphs.py",)),
     # The isolated vertices of the edge list.
     Mutant("isolated names list every symbol", EXPORT,
            "full.translate(None, column) if full else", "full if full else",

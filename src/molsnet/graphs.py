@@ -118,9 +118,12 @@ class PartiteGraph:
                 for v in range(1, self.part_sizes[q] + 1):
                     yield (p, u), (q, v)
 
-    def _part_pairs(self) -> Iterator[tuple[bytes | None, list]]:
+    def _part_pairs(self, rows: Sequence[list[bytes] | None] | None = None
+                    ) -> Iterator[tuple[bytes | None, list]]:
         """Per part pair c of a chain graph, the pair by the one route rule
-        that every reader of its edges (c, u) -> (c+1, v) follows.
+        that every reader of its edges (c, u) -> (c+1, v) follows.  rows, if
+        given, holds each column's rows (squares._rows) up to order 255, so
+        a caller that has cut them already does not cut them again.
 
         Row route: up to order 255 (squares._full), where every column is
         bytes, when every row of column c is a permutation of 1..n
@@ -133,7 +136,8 @@ class PartiteGraph:
         """
         n, columns = self.array.order, self.array.columns
         full = _full(n)
-        rows = (_rows(column, n) if full else None for column in columns)
+        if rows is None:
+            rows = (_rows(column, n) if full else None for column in columns)
         for c, (rows_a, rows_b) in enumerate(pairwise(rows)):
             if rows_a and _permutes(full, rows_a):
                 yield full, _pair_columns(rows_a, rows_b, full)
@@ -324,11 +328,12 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
     holds every symbol n times, so its degrees need no count; any other
     column (a row that is no permutation, or any column above order 255) is
     counted.  The graph is simple when every consecutive column pair holds
-    n^2 distinct symbol pairs: on the row route (PartiteGraph._part_pairs)
-    when its stride columns are permutations, on the key route when the
-    keys are distinct; the first part pair that repeats an edge ends the
-    test.  In a complete multipartite graph a vertex meets every vertex
-    outside its part.
+    n^2 distinct symbol pairs: on the row route (PartiteGraph._part_pairs,
+    given the rows the degrees cut, so each column is cut once) when its
+    stride columns are permutations, on the key route when the keys are
+    distinct; the first part pair that repeats an edge ends the test.  In a
+    complete multipartite graph a vertex meets every vertex outside its
+    part.
     """
     if graph.array is None:
         total = graph.vertex_count
@@ -336,15 +341,16 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
     n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
     full = _full(n)
+    rows = [_rows(column, n) if full else None for column in columns]
     degrees = []
     for p, column in enumerate(columns):
-        latin = full and _permutes(full, _rows(column, n))
+        latin = full and _permutes(full, rows[p])
         counts = dict.fromkeys(range(1, n + 1), n) if latin else Counter(column)
         neighbours = 1 if p in (0, t - 1) else 2
         degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
                       tuple(degrees), all(_permutes(route, pair) if route else len(set(pair)) == n * n
-                                          for route, pair in graph._part_pairs()))
+                                          for route, pair in graph._part_pairs(rows)))
 
 
 def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain, ...]:

@@ -6,16 +6,17 @@ the stack is t-orthogonal when all n^2 tuples are pairwise distinct.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from operator import add, gt, itemgetter, mul
+from operator import add, eq, ge, gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .squares import LatinSquare, MolsSet, _full, _lane_slices, _rows
+from .squares import LatinSquare, MolsSet, _full, _lane_slices, _permutes, _rows
 
 Cell = tuple[int, int]            # (row, column), 1-based
 SymbolTuple = tuple[int, ...]
@@ -302,24 +303,137 @@ def _pair_report(rows_a: Sequence[bytes], rows_b: Sequence[bytes],
                                ((i + 1, j + 1), (k + 1, rows_a[k].index(s) + 1)))
 
 
-def _pair_reports(flat: Sequence[Column], n: int) -> Callable[[int, int], OrthogonalityReport | None]:
+def _pair_reports(flat: Sequence[Column], n: int, rows: Callable[[int], list[bytes]]
+                  ) -> Callable[[int, int], OrthogonalityReport | None]:
     """The one decider of pairs of squares: given 1-based positions (a, b)
     in flat, it returns the pair's report, or None when the pair holds all
     n^2 symbol pairs.
 
     The route is picked once, by the order (squares._full).  Up to order
     255, where every Latin square's symbols are bytes, the pair is decided
-    from the two squares' rows (_pair_report); each square's rows are built
-    on its first pair and kept.  Above order 255 the pair is the prefix
-    walk's one subset (_prefix_walk), as the stack of is_t_orthogonal is,
-    so the walk is the one decider of stacked keys.
+    from the two squares' rows (_pair_report); rows(k) gives the rows of
+    square k, built by the caller once per square and kept.  Above order
+    255 the pair is the prefix walk's one subset (_prefix_walk), as the
+    stack of is_t_orthogonal is, so the walk is the one decider of stacked
+    keys.
     """
     full = _full(n)
     if full is None:
         return lambda a, b: next((v.report for v in _prefix_walk(
             (flat[a - 1], flat[b - 1]), n, 2, set())), None)
-    rows = cache(lambda k: _rows(flat[k - 1], n))
     return lambda a, b: _pair_report(rows(a), rows(b), full)
+
+
+def _row_pair_groups(labels: Sequence[int], rows: Sequence[list[bytes]], n: int,
+                     t: int) -> dict[tuple[int, ...], set[int]]:
+    """The sets of t or more squares that share a collision, each with the
+    row-major positions of the cells that collide on all of them.
+
+    rows[q] holds the rows of the square labelled labels[q], each a
+    permutation of 1..n.  For rows r < r' of square k, phi_k =
+    S_k[r']^-1 o S_k[r] maps a column c to the column of row r' that holds
+    the symbol of cell (r, c), so cells (r, c) and (r', c') hold one symbol
+    on square k exactly when c' = phi_k(c).  Two cells of one row never do,
+    so two cells hold one tuple on a set of squares K exactly when, for
+    some r < r' and c, phi_k(c) is one c' for every k in K.  Per row pair,
+    phi_k of every column is one translate of row r by the inverse table of
+    row r' (made once per square and row), the results are joined, and one
+    Counter of the keys c * n + phi_k(c) names each (c, c') that t or more
+    squares share (a row pair whose largest count is below t names none).
+    Its group is the labels of those squares, ascending, and the cells
+    (r, c) and (r', c') are added to that group's positions.
+    """
+    lanes = bytes(range(n))
+    inverses = [[bytes.maketrans(row, lanes) for row in square] for square in rows]
+    offsets = list(range(0, n * n, n)) * len(rows)
+    groups: dict[tuple[int, ...], set[int]] = {}
+    for r, r2 in itertools.combinations(range(n), 2):
+        joined = b"".join([square[r].translate(inverse[r2])
+                           for square, inverse in zip(rows, inverses)])
+        counts = Counter(map(add, offsets, joined))
+        if max(counts.values()) < t:
+            continue
+        for key in itertools.compress(counts, map(ge, counts.values(), itertools.repeat(t))):
+            c, c2 = divmod(key, n)
+            group = tuple(itertools.compress(labels, map(eq, joined[c::n], itertools.repeat(c2))))
+            groups.setdefault(group, set()).update((r * n + c, r2 * n + c2))
+    return groups
+
+
+def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes], rows: Sequence[list[bytes]],
+                       n: int, t: int) -> list[SubsetVerdict]:
+    """The failing t-subsets of the labelled squares, in index order, from
+    their row-pair groups (_row_pair_groups): a subset fails exactly when
+    one group holds it.
+
+    A failing subset's report is _collision_report over the cells of the
+    groups that hold it, since every other cell's tuple is unique.  Two
+    subsets whose distinct squares are equal (as bytes) hold equal tuples
+    in the same cells, repeated squares included, so they share one report.
+    """
+    groups = _row_pair_groups(labels, rows, n, t)
+    column = dict(zip(labels, flat)).__getitem__
+    # Each group's t-subsets in index order, merged, so equal subsets are adjacent.
+    held = heapq.merge(*(zip(itertools.combinations(group, t), itertools.repeat(group))
+                         for group in groups))
+    reports: dict[frozenset[bytes], OrthogonalityReport] = {}
+    failures = []
+    for subset, holders in itertools.groupby(held, itemgetter(0)):
+        squares = frozenset(map(column, subset))
+        report = reports.get(squares)
+        if report is None:
+            positions = sorted(set().union(*(groups[group] for _, group in holders)))
+            read = itemgetter(*positions)
+            first, *rest = squares
+            keys = list(read(first))
+            for symbols in rest:
+                keys = stacked_keys(keys, read(symbols), n)
+            report = reports[squares] = _collision_report(keys, n, positions)
+        failures.append(SubsetVerdict(subset, report))
+    return failures
+
+
+def _pruned_failures(flat: Sequence[bytes], n: int, t: int, rows: Callable[[int], list[bytes]],
+                     passed: set[tuple[int, int]], failed: tuple[int, int]) -> list[SubsetVerdict]:
+    """The failing t-subsets, in index order, at t >= 3 up to order 255,
+    once the cover pair `failed` has failed after the pairs in `passed`.
+
+    Every other pair is decided, verdict only, from its stride columns
+    (_pair_columns).  A t-subset fails only if each of its pairs fails, so
+    a square with fewer than t - 1 failing partners is in no failing subset
+    and is dropped; with fewer than t squares S left, none fails.  On S the
+    row-pair groups (_row_pair_failures) decide when 2|S| >= n, and the
+    prefix walk, given every passing pair, otherwise.  The walk's cost
+    grows with C(|S|, 3) when pairs fail and the groups' with C(n, 2) row
+    pairs of |S| squares each.  On the first |S| squares of a shift family
+    at t = 3 (2-core x86 host, Python 3.11, best of 2-3) the walk leads up
+    to about 2|S| = 0.7n and the groups from there on: 1.06 against 1.71 s
+    at order 100 with 25 squares, 4.2 against 2.7 s with 40 and 6.8
+    against 2.5 s with 50; 7.2 against 12.9 ms at order 28 with 10
+    squares and 20 against 16 ms with 14.  Whole families sit far past
+    the rule (the order-28 family: 154 ms walked whole, 35 ms pruned and
+    grouped), and narrow sets such as 12 copies of an order-31 square stay
+    with the walk.
+    """
+    full = _full(n)
+    orthogonal, fails = set(passed), Counter(failed)
+    for pair in itertools.combinations(range(1, len(flat) + 1), 2):
+        if pair in orthogonal or pair == failed:
+            continue
+        if _permutes(full, _pair_columns(rows(pair[0]), rows(pair[1]), full)):
+            orthogonal.add(pair)
+        else:
+            fails.update(pair)
+    kept = [k for k in range(1, len(flat) + 1) if fails[k] >= t - 1]
+    if len(kept) < t:
+        return []
+    if 2 * len(kept) >= n:
+        return _row_pair_failures(kept, [flat[k - 1] for k in kept], list(map(rows, kept)), n, t)
+    position = {k: q for q, k in enumerate(kept, start=1)}
+    walked = _prefix_walk([flat[k - 1] for k in kept], n, t,
+                          {(position[a], position[b]) for a, b in orthogonal
+                           if a in position and b in position})
+    return [SubsetVerdict(tuple(kept[q - 1] for q in v.indices), v.report) for v in walked]
 
 
 def _prefix_walk(flat: Sequence[Column], n: int, t: int,
@@ -336,10 +450,12 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     tested, because one column decides nothing: for n >= 2 its n^2 keys,
     symbols of 1..n, repeat, and for n = 1 every child settles.  A failing
     leaf reads its certificate off its keys (_collision_report).
-    is_t_orthogonal walks the one subset of its stack, and _pair_reports
-    each pair above order 255.  verify_set_orthogonality walks its whole set
-    only at t >= 3, from the first failing pair of its Turan cover; at
-    t = 2 every pair is decided on its own.
+    Three callers walk: is_t_orthogonal its one subset, _pair_reports
+    each pair above order 255, and verify_set_orthogonality at t >= 3 once
+    its Turan cover fails, on its whole set above order 255 and up to it
+    on the squares left after the pair prune when they are too few for the
+    row-pair groups (_pruned_failures).  At t = 2 every pair is decided on
+    its own.
     """
     size = len(flat)
     failures: list[SubsetVerdict] = []
@@ -385,15 +501,20 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     tuples distinct, so if they all pass, every subset does.  At t = 2 the
     one run is the whole set, so its pairs are the subsets and a failing
     pair is listed with its report.  At t >= 3 the first failing pair hands
-    over to the prefix walk (_prefix_walk), which settles every node that
-    holds a pair that already passed without testing it.
+    over: up to order 255 (squares._full) to _pruned_failures, which
+    decides every other pair, drops the squares with fewer than t - 1
+    failing partners and decides the rest from row-pair groups or by the
+    prefix walk; above order 255 to the prefix walk (_prefix_walk) on the
+    whole set, which settles every node that holds a pair that already
+    passed without testing it.
     """
     size = len(mols.squares)
     if not 2 <= t <= size:
         raise InputError(f"t must be between 2 and the set size {size}, got {t}")
     n = mols.order
     flat = [square.symbols for square in mols.squares]
-    report, passed, failures = _pair_reports(flat, n), set(), []
+    rows = cache(lambda k: _rows(flat[k - 1], n))
+    report, passed, failures = _pair_reports(flat, n, rows), set(), []
     for run in _runs(size, t - 1):
         for pair in itertools.combinations(run, 2):
             if (r := report(*pair)) is None:
@@ -401,5 +522,7 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
             elif t == 2:
                 failures.append(SubsetVerdict(pair, r))
             else:
-                return SetOrthogonalityReport(n, t, size, tuple(_prefix_walk(flat, n, t, passed)))
+                failures = (_prefix_walk(flat, n, t, passed) if _full(n) is None else
+                            _pruned_failures(flat, n, t, rows, passed, pair))
+                return SetOrthogonalityReport(n, t, size, tuple(failures))
     return SetOrthogonalityReport(n, t, size, tuple(failures))

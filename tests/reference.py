@@ -15,7 +15,9 @@
   theorem rather than by any stacking of the squares.
 - `shift_family_report` is the report of the shift family of an order n
   with n+1 prime, from the row classes of a closed form rather than any
-  stacking of the squares.
+  stacking of the squares; its failing subsets come from the level sets of
+  one ratio per row offset, and `shift_family_report_by_subsets` checks
+  that enumeration against the signatures of every subset.
 - `cell_pair_counts` is `brute_force_multiplicity` from one pass over the
   cells instead of one per candidate edge, so it reaches orders above 255,
   where the oracle's t * n^4 cell reads do not.
@@ -28,6 +30,7 @@
   from the sorted edge keys.
 """
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -58,6 +61,33 @@ def distinct_slope_report(order, size, t):
     return SetOrthogonalityReport(order, t, size, ())
 
 
+@functools.cache
+def _shift_tables(n):
+    """rolled[k][i - 1] = sigma_k(i) for square k (0-based) of the shift
+    family of order n, and inverse[x] = x^-1 mod n + 1."""
+    rolled = [list(range(k + 1, n + 1)) + list(range(1, k + 1)) for k in range(n)]
+    return rolled, [0] + [pow(x, -1, n + 1) for x in range(1, n + 1)]
+
+
+def _shift_subset_report(order, combo):
+    """The report of the t-subset combo (file positions) of the shift family
+    of `order`, from the row signatures of shift_family_report; None when
+    no two rows share one."""
+    n, p = order, order + 1
+    rolled, inverse = _shift_tables(n)
+    first = rolled[combo[0] - 1]
+    groups = {}
+    for i in range(n):
+        scale = inverse[first[i]]
+        groups.setdefault(tuple(rolled[k - 1][i] * scale % p for k in combo), []).append(i + 1)
+    repeated = sum(len(rows) - 1 for rows in groups.values())
+    if not repeated:
+        return None
+    i, partner = min(rows[:2] for rows in groups.values() if len(rows) > 1)
+    r = first[i - 1] * inverse[first[partner - 1]] % p
+    return OrthogonalityReport(False, n * n - n * repeated, ((i, 1), (partner, r)))
+
+
 def shift_family_report(order, t):
     """The report on the t-subsets of the shift family of `order`, n + 1 = p
     prime: square k (0-based, file position k + 1) holds sigma_k(i) * j mod p,
@@ -70,25 +100,38 @@ def shift_family_report(order, t):
     A row group of size g >= 2 makes n classes of g cells each, so n * (g - 1)
     tuples repeat; the first colliding cells are (i, 1) and (i', r) for the
     smallest row i with a partner and its smallest partner i'.
+
+    The failing K are enumerated, not searched for.  With d = i' - i mod n
+    and a = (i - 1 + k) mod n, the ratio is f_d(a) = (a + 1) *
+    (((a + d) mod n) + 1)^-1 mod p, so K fails on rows i and i + d exactly
+    when f_d is one value on {(i - 1 + k) mod n : k in K}: when K lies in a
+    level set of f_d shifted back by i - 1.  The level sets of every d take
+    O(n^2) steps, and each failing K is reported once from its signatures.
     """
     n, p = order, order + 1
-
-    def sigma(k, i):
-        return (i - 1 + k) % n + 1
-    failures = []
-    for combo in itertools.combinations(range(1, n + 1), t):
-        k0 = combo[0] - 1
-        groups = {}
-        for i in range(1, n + 1):
-            inverse = pow(sigma(k0, i), -1, p)
-            groups.setdefault(tuple(sigma(k - 1, i) * inverse % p for k in combo), []).append(i)
-        repeated = sum(len(rows) - 1 for rows in groups.values())
-        if repeated:
-            i, partner = min(rows[:2] for rows in groups.values() if len(rows) > 1)
-            r = sigma(k0, i) * pow(sigma(k0, partner), -1, p) % p
-            report = OrthogonalityReport(False, n * n - n * repeated, ((i, 1), (partner, r)))
-            failures.append(SubsetVerdict(combo, report))
+    failing = set()
+    for d in range(1, n):
+        levels = {}
+        for a in range(n):
+            levels.setdefault((a + 1) * pow((a + d) % n + 1, -1, p) % p, []).append(a)
+        for level in (level for level in levels.values() if len(level) >= t):
+            for shift in range(n):
+                failing.update(itertools.combinations(sorted((a - shift) % n + 1 for a in level),
+                                                      t))
+    failures = [SubsetVerdict(combo, _shift_subset_report(n, combo)) for combo in sorted(failing)]
     return SetOrthogonalityReport(n, t, n, tuple(failures))
+
+
+def shift_family_report_by_subsets(order, t):
+    """shift_family_report from the signatures of every t-subset in turn,
+    C(n, t) of them, as it was computed before the failing subsets were
+    enumerated: the cross-check of that enumeration."""
+    failures = []
+    for combo in itertools.combinations(range(1, order + 1), t):
+        report = _shift_subset_report(order, combo)
+        if report is not None:
+            failures.append(SubsetVerdict(combo, report))
+    return SetOrthogonalityReport(order, t, order, tuple(failures))
 
 
 def count_latin_violations(square):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import molsnet.graphs
 from molsnet import (CHAIN, MULTIPARTITE, NotOrthogonalError, PartiteGraph, TupleArray,
                      build_partite_graph, channels_through, edge_multiplicity, graph_stats,
                      is_bipartite, make_complete_multipartite, make_mols_family,
@@ -268,6 +269,19 @@ class TestGraphStats:
         sequences = graph_stats(graph).degree_sequences
         assert sequences == ((3, 3, 3), (10, 4, 4), (3, 3, 3))
         assert sequences == tuple(tuple(degree[p, s] for s in range(1, n + 1)) for p in range(3))
+
+    def test_each_column_s_rows_are_cut_once(self, family7, monkeypatch):
+        # The degrees and the simplicity test share one cut per column.
+        graph = chain_graph(family7, 4)
+        cut = []
+        original = molsnet.graphs._rows
+
+        def spy(column, order):
+            cut.append(column)
+            return original(column, order)
+        monkeypatch.setattr(molsnet.graphs, "_rows", spy)
+        assert graph_stats(graph).simple
+        assert cut == list(graph.array.columns)
 
     def test_edgeless_graph(self):
         stats = graph_stats(make_turan_graph(1, 4))

@@ -14,7 +14,7 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, enumerate_set_orthogonali
 from molsnet.orthogonality import (OrthogonalityReport, _collision_report,
                                    _prefix_walk, _runs, subset_rank)
 from reference import (distinct_slope_report, occurrence_report, per_subset_verdicts,
-                       shift_family_report)
+                       shift_family_report, shift_family_report_by_subsets)
 
 # Every (order, method) up to order 13 whose family has at least two squares.
 FAMILIES = [(n, method) for n in range(2, 14) for method in ("additive", "shift")
@@ -415,10 +415,11 @@ class TestPairCover:
             assert report.failures == tuple(walked)
 
     @pytest.mark.parametrize("n", [10, 16])
-    def test_a_shift_set_builds_the_rows_of_its_first_pair_only(self, n, monkeypatch):
-        # Every shift pair fails, so at t = 3 the cover stops at (1, 2).  At
-        # t = 2 every pair gets its report from rows, so each square's rows
-        # are built once, in order.
+    def test_a_shift_set_builds_each_square_s_rows_once(self, n, monkeypatch):
+        # Every shift pair fails.  At t = 3 the cover stops at (1, 2) and
+        # the prune decides every other pair from rows, and at t = 2 every
+        # pair gets its report from rows; either way each square's rows are
+        # built once, in order, and the row-pair groups reuse them.
         family, built = make_mols_family(n, "shift"), []
         original = molsnet.orthogonality._rows
 
@@ -426,11 +427,10 @@ class TestPairCover:
             built.append(column)
             return original(column, order)
         monkeypatch.setattr(molsnet.orthogonality, "_rows", spy)
-        verify_set_orthogonality(family, 3)
-        assert built == [family.squares[0].symbols, family.squares[1].symbols]
-        built.clear()
-        verify_set_orthogonality(family, 2)
-        assert built == [square.symbols for square in family.squares]
+        for t in (3, 2):
+            built.clear()
+            verify_set_orthogonality(family, t)
+            assert built == [square.symbols for square in family.squares]
 
     @pytest.mark.parametrize("n,method", [(10, "shift"), (13, "additive"), (28, "shift")])
     def test_pairs_take_one_row_report_each_and_no_key_pass(self, n, method, monkeypatch):
@@ -481,8 +481,10 @@ class TestPairCover:
         # The order-13 additive family with a copy of square 1 inserted at
         # position 7 and position 12 replaced by a copy of position 10.  At
         # t = 4 the cover fails only at its last run, on (10, 12), after
-        # (7, 8) and (7, 9) passed, so the walk settles (1, 7, 8) and
-        # (1, 7, 9) below the failing pair (1, 7) without a key pass.
+        # (7, 8) and (7, 9) passed.  Up to order 255 the pair prune then
+        # leaves no square with t - 1 failing partners, so nothing below the
+        # failing pair (1, 7) takes a key pass; the walk's own settling of
+        # such nodes is pinned in TestRowPairs.
         squares = list(make_mols_family(13).squares)
         squares.insert(6, squares[0])
         squares[11] = squares[9]
@@ -494,6 +496,146 @@ class TestPairCover:
             assert tuple(report.verdicts) == per_subset_verdicts(mols, t)
             if t == 4:
                 assert passes["keys"] <= 59
+
+
+def _routes(monkeypatch):
+    """Count the routes verify takes past a failing cover at t >= 3."""
+    calls = Counter()
+    for name in ("_row_pair_failures", "_prefix_walk"):
+        def spy(*args, _name=name, _original=getattr(molsnet.orthogonality, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(molsnet.orthogonality, name, spy)
+    return calls
+
+
+def _brute_row_pair_groups(labels, squares, t):
+    """Every set of t or more squares whose cells (r, c) and (r', c'),
+    r < r', hold one symbol on each of them, with those cells' row-major
+    positions: read cell by cell from the squares' rows."""
+    n = squares[0].order
+    groups = {}
+    for r, r2 in itertools.combinations(range(n), 2):
+        for c in range(n):
+            partners = {}
+            for label, square in zip(labels, squares):
+                partners.setdefault(square.cells[r2].index(square.cells[r][c]), []).append(label)
+            for c2, group in partners.items():
+                if len(group) >= t:
+                    groups.setdefault(tuple(group), set()).update((r * n + c, r2 * n + c2))
+    return groups
+
+
+def _copies_among(family, positions):
+    """The family's squares with a copy of its first square inserted so that
+    the copies stand at the given 1-based positions, the first of them 1."""
+    squares = list(family.squares)
+    for position in positions[1:]:
+        squares.insert(position - 1, LatinSquare(family.order, squares[0].cells))
+    return MolsSet(family.order, tuple(squares))
+
+
+class TestRowPairs:
+    """Past a failing cover at t >= 3, every pair is decided once, the
+    squares with fewer than t - 1 failing partners are dropped, and the
+    rest are decided from row-pair groups when there are at least half as
+    many as the order, and by the prefix walk otherwise."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9])
+    def test_groups_are_the_squares_that_share_a_cell_pair(self, n):
+        # Family squares, isotopes of the first one and repeats, under
+        # labels that are not 1..m.
+        rng = random.Random(n)
+        if is_prime(n) or is_prime(n + 1):
+            family = list(make_mols_family(n).squares)
+        else:
+            family = [LatinSquare(n, tuple(tuple((r + c) % n + 1 for c in range(n))
+                                           for r in range(n)))]
+        pool = family + [
+            LatinSquare(n, tuple(family[0].cells[r] for r in rng.sample(range(n), n)))
+            for _ in range(3)]
+        for trial in range(6):
+            squares = [rng.choice(pool) for _ in range(rng.randint(3, 8))]
+            labels = sorted(rng.sample(range(1, 30), len(squares)))
+            rows = [molsnet.orthogonality._rows(square.symbols, n) for square in squares]
+            for t in range(3, len(squares) + 1):
+                assert molsnet.orthogonality._row_pair_groups(labels, rows, n, t) == \
+                    _brute_row_pair_groups(labels, squares, t)
+
+    def test_each_pair_is_decided_once_by_the_cover_or_the_prune(self, monkeypatch):
+        # Copies of the first square at positions 1, 4 and 9 of the order-13
+        # family: the cover passes (1, 2) and (1, 3), fails on (1, 4), and
+        # the prune decides every other pair.
+        mols = _copies_among(make_mols_family(13), (1, 4, 9))
+        decided = Counter()
+        original = molsnet.orthogonality._pair_columns
+
+        def spy(rows_a, rows_b, full):
+            decided[id(rows_a), id(rows_b)] += 1
+            return original(rows_a, rows_b, full)
+        monkeypatch.setattr(molsnet.orthogonality, "_pair_columns", spy)
+        report = verify_set_orthogonality(mols, 3)
+        assert len(decided) == sum(decided.values()) == comb(len(mols), 2)
+        assert [v.indices for v in report.failures] == [(1, 4, 9)]
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_the_route_is_picked_by_the_squares_left_against_the_order(self, t, monkeypatch):
+        calls = _routes(monkeypatch)
+        # Every pair of the order-16 shift family fails and 2 * 15 >= 16.
+        assert verify_set_orthogonality(make_mols_family(16, "shift"), t).all_orthogonal
+        assert calls == Counter({"_row_pair_failures": 1})
+        calls.clear()
+        # The first 4 squares of the order-58 shift family: 2 * 4 < 58.
+        first = MolsSet(58, make_mols_family(58, "shift").squares[:4])
+        assert verify_set_orthogonality(first, t).all_orthogonal
+        assert calls == Counter({"_prefix_walk": 1})
+        calls.clear()
+        # Three copies at positions 1, 4 and 9 of the order-13 family:
+        # 2 * 3 < 13, so the walk finds the one failing triple.
+        mols = _copies_among(make_mols_family(13), (1, 4, 9))
+        report = verify_set_orthogonality(mols, t)
+        assert calls == Counter({"_prefix_walk": t == 3})
+        assert [v.indices for v in report.failures] == [(1, 4, 9)] * (t == 3)
+        monkeypatch.undo()
+        assert tuple(report.verdicts) == per_subset_verdicts(mols, t)
+
+    def test_a_square_that_fails_with_every_other_leaves_too_few(self, monkeypatch):
+        # A row isotope of the first square of the order-7 family fails with
+        # every family square, and they pass with each other: at t = 3 the
+        # prune keeps the isotope alone, so neither route runs.
+        family = list(make_mols_family(7).squares)
+        cells = family[0].cells
+        isotope = LatinSquare(7, tuple(cells[r] for r in (3, 0, 6, 1, 5, 2, 4)))
+        mols = MolsSet(7, tuple(family + [isotope]))
+        assert all(not is_t_orthogonal(superimpose([square, isotope])).is_orthogonal
+                   for square in family)
+        calls = _routes(monkeypatch)
+        assert verify_set_orthogonality(mols, 3).all_orthogonal
+        assert calls == Counter()
+
+    def test_the_walk_is_given_every_passing_pair(self, monkeypatch):
+        # Three copies of each of two orthogonal squares of order 13: every
+        # square keeps two failing partners, 2 * 6 < 13, and the walk is
+        # given the 9 passing pairs between the two kinds, so it adds a
+        # column only to prefixes of one kind: (1, 2), (1, 2, 3), (1, 3),
+        # (2, 3), (4, 5) and (4, 5, 6).  The cover takes (1, 2).
+        a, b = make_mols_family(13).squares[:2]
+        mols = MolsSet(13, (a, a, a, b, b, b))
+        passes = _key_passes(monkeypatch)
+        report = verify_set_orthogonality(mols, 3)
+        assert passes["keys"] == 1 + 6
+        assert [v.indices for v in report.failures] == [(1, 2, 3), (4, 5, 6)]
+        monkeypatch.undo()
+        assert tuple(report.verdicts) == per_subset_verdicts(mols, 3)
+
+    def test_subsets_with_equal_distinct_squares_share_one_report(self):
+        # 20 copies of an order-13 square at t = 4: every subset fails with
+        # the one square's report.
+        square = make_mols_family(13).squares[0]
+        report = verify_set_orthogonality(MolsSet(13, (square,) * 20), 4)
+        assert len(report.failures) == comb(20, 4)
+        assert len({id(v.report) for v in report.failures}) == 1
+        assert report.failures[0].report == is_t_orthogonal(superimpose([square] * 4))
 
 
 def _scrambled_family(n, seed, method="additive"):
@@ -534,8 +676,13 @@ class TestShiftReference:
         for t in range(2, 5):
             assert shift_family_report(n, t) == enumerate_set_orthogonality(family, t)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 12, 16, 18, 22, 28, 30])
+    def test_enumerated_failures_match_the_loop_over_every_subset(self, n):
+        for t in range(2, min(n, 5) + 1):
+            assert shift_family_report(n, t) == shift_family_report_by_subsets(n, t)
+
     @pytest.mark.parametrize("n,ts", [(12, (2, 3, 4, 5)), (16, (2, 3, 4)), (28, (2, 3)),
-                                      (30, (2, 3)), (52, (2,)), (100, (2,))])
+                                      (30, (2, 3)), (52, (2,)), (100, (2,)), (100, (3,))])
     def test_verify_matches_the_reference(self, n, ts):
         family = make_mols_family(n, "shift")
         for t in ts:

@@ -16,6 +16,10 @@ square and a shuffled square order, optionally with one square duplicated.
   full-enumeration oracle, also on shift squares drawn with repetition,
   whose failing prefixes fail or settle deeper down; it is invariant under
   isotopy and follows a reordering of the squares.
+- Past a failing pair cover at t >= 3, whole reports agree with
+  superimposing every subset on sets of family squares, their isotopes
+  and repeats at orders 3-12, on both sides of the rule that sends the
+  squares left after the pair prune to the row-pair groups or the walk.
 - The row-permutation pair report agrees with counting the symbol pairs
   of two squares, and report for report with stacking them, on Latin pairs
   of orders 1-13: family pairs, equal squares, row shifts and transposes,
@@ -392,6 +396,41 @@ def _boundary_pair(n):
         return make_additive_square(n, 1), make_additive_square(n, 2)
     return tuple(LatinSquare(n, tuple(tuple((i + h * j) % n + 1 for j in range(n))
                                       for i in range(n))) for h in (1, 2))
+
+
+@st.composite
+def isotope_sets(draw, side):
+    """Squares of one order 3-12 drawn with repetition from its family
+    squares (_family_squares) and isotopes of the first of them, each by a
+    row, a column and a symbol permutation, with a subset size t >= 3.
+
+    side picks the sizes against the order.  "rows": orders 3-7 and 3-8
+    squares, so the squares left after the pair prune are often at least
+    half the order and the row-pair groups decide.  "walk": orders 8-12 and
+    3 to fewer than half the order squares, so whatever is left goes to the
+    prefix walk.
+    """
+    n = draw(st.integers(3, 7) if side == "rows" else st.integers(8, 12))
+    family = _family_squares(n)
+    a = family[0]
+    permutation = st.permutations(range(n))
+    pool = list(family)
+    for _ in range(draw(st.integers(1, 3))):
+        rows, columns = draw(permutation), draw(permutation)
+        relabel = draw(st.permutations(range(1, n + 1)))
+        pool.append(tuple(tuple(relabel[a[r][c] - 1] for c in columns) for r in rows))
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=3,
+                           max_size=8 if side == "rows" else (n - 1) // 2))
+    squares = tuple(LatinSquare(n, cells) for cells in chosen)
+    return MolsSet(n, squares), draw(st.integers(3, len(squares)))
+
+
+@pytest.mark.parametrize("side", ["rows", "walk"])
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_past_a_failing_cover_agrees_with_superimposing_every_subset(side, data):
+    mols, t = data.draw(isotope_sets(side))
+    assert tuple(verify_set_orthogonality(mols, t).verdicts) == per_subset_verdicts(mols, t)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
