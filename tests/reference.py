@@ -64,7 +64,7 @@ def distinct_slope_report(order, size, t):
 @functools.cache
 def _shift_tables(n):
     """rolled[k][i - 1] = sigma_k(i) for square k (0-based) of the shift
-    family of order n, and inverse[x] = x^-1 mod n + 1."""
+    family of order n, and inverse[x] = x^-1 mod p, p = n + 1."""
     rolled = [list(range(k + 1, n + 1)) + list(range(1, k + 1)) for k in range(n)]
     return rolled, [0] + [pow(x, -1, n + 1) for x in range(1, n + 1)]
 
