@@ -103,11 +103,19 @@ MUTANTS = (
     # Past a failing cover at t >= 3 up to order 255: the pair prune, the
     # route rule and the row-pair groups (_pruned_failures).
     Mutant("a prune threshold of t - 2", ORTHOGONALITY,
-           "if fails[k] >= t - 1]", "if fails[k] >= t - 2]", PAIR_TESTS),
+           "if fails[kind[k - 1]] >= t - 1]", "if fails[kind[k - 1]] >= t - 2]", PAIR_TESTS),
+    Mutant("copies not counted as failing partners of each other", ORTHOGONALITY,
+           "fails = Counter({k: c - 1 for k, c in copies.items()})", "fails = Counter()",
+           PAIR_TESTS),
+    Mutant("a failing distinct pair counted once, not per copy", ORTHOGONALITY,
+           "fails[a] += copies[b]", "fails[a] += 1", PAIR_TESTS),
+    Mutant("the cover's verdicts not reused by the prune", ORTHOGONALITY,
+           "passes = {distinct(*pair): pair in passed for pair in (*passed, failed)}",
+           "passes = {}", ("tests/test_orthogonality.py",)),
     Mutant("the route rule flipped", ORTHOGONALITY,
            "if 2 * len(kept) >= n:", "if 2 * len(kept) < n:", PAIR_TESTS),
     Mutant("the walk given no passing pair", ORTHOGONALITY,
-           "for a, b in orthogonal\n", "for a, b in ()\n", PAIR_TESTS),
+           "if passes.get(distinct(a, b))})", "if False})", PAIR_TESTS),
     Mutant("the walk's subsets left in the positions of the kept squares", ORTHOGONALITY,
            "SubsetVerdict(tuple(kept[q - 1] for q in v.indices), v.report)",
            "SubsetVerdict(v.indices, v.report)", PAIR_TESTS),
@@ -160,8 +168,23 @@ MUTANTS = (
            ("tests/test_squares.py",)),
     Mutant("parse stores tuples", SQUARES,
            "symbols = bytes(symbols)", "symbols = tuple(symbols)", ("tests/test_files.py",)),
+    # The parse's two routes: one gather per canonically spelled block, and
+    # the per-row loop for every other block.
     Mutant("the order-1 row not wrapped", FILES,
            "flat += values if order > 1 else (values,)", "flat += values", ("tests/test_files.py",)),
+    Mutant("the order-1 block not wrapped", FILES,
+           "order, values if order > 1 else (values,), EXTERNAL)", "order, values, EXTERNAL)",
+           ("tests/test_files.py",)),
+    Mutant("the block's space test at order", FILES,
+           "== {order - 1}:", "== {order}:", ("tests/test_files.py",)),
+    Mutant("the block's per-row space test replaced by a total count", FILES,
+           'if set(map(str.count, rows, repeat(" "))) == {order - 1}:',
+           'if sum(map(str.count, rows, repeat(" "))) == order * (order - 1):',
+           ("tests/test_properties.py",)),
+    Mutant("the block's KeyError fallback removed", FILES,
+           "                except KeyError:\n                    pass\n",
+           "                except ZeroDivisionError:\n                    pass\n",
+           ("tests/test_files.py",)),
     # The storage rule's one limit (_full) and the byte-string Latin check.
     Mutant("the bytes limit at 254", SQUARES,
            "if n <= 255 else None", "if n <= 254 else None", PAIR_TESTS),

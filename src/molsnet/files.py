@@ -8,14 +8,19 @@ tolerates extra blank lines at the end of the file.  Error positions use
 1-based lines, and columns count whitespace-separated tokens, not characters.
 Whether blocks are Latin is checked once, by MolsSet, after the whole text
 is read, so a syntax fault anywhere is reported before a non-Latin block.
-Each row is read with one gather from a table of the canonical spellings,
-and each block's list of ints goes to LatinSquare._of_symbols, whose _set
-stores it by the storage rule of squares.py: bytes up to order 255, a tuple
-of ints above it.
+A block spelled as serialization writes it, each row holding order - 1
+spaces and every token a plain decimal, is read with one split of its
+joined rows and one gather of all order^2 tokens from a table of the
+canonical spellings.  Any other block is read row by row, with one gather
+per row and int() for the other spellings; that loop locates every fault.
+Each block's ints go to LatinSquare._of_symbols, whose _set stores them by
+the storage rule of squares.py: bytes up to order 255, a tuple of ints
+above it.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import NotLatinError, SquareFileError
@@ -91,7 +96,7 @@ def parse_square_file(text: str) -> MolsSet:
         raise SquareFileError(f"count must be at least 1, got {count}", line=1)
 
     cursor = 1                     # 0-based index into lines
-    symbols = None                 # canonical spelling of each symbol -> its value
+    symbols = {}                   # canonical spelling of each symbol -> its value
     squares = []
     for block in range(1, count + 1):
         if block > 1:
@@ -99,22 +104,37 @@ def parse_square_file(text: str) -> MolsSet:
                 raise SquareFileError(f"expected a blank line before block {block}",
                                       line=cursor + 1)
             cursor += 1
+        rows = lines[cursor:cursor + order]
+        lines[cursor:cursor + order] = [None] * len(rows)   # release the block's text
+        if len(rows) == order:
+            # Built only now, so its size is bounded by the input, not the header.
+            symbols = symbols or {str(s): s for s in range(1, order + 1)}
+            # When each row holds n - 1 spaces and all n^2 pieces between
+            # them are canonical spellings, each row is n of those pieces,
+            # as split() would read it.
+            if set(map(str.count, rows, repeat(" "))) == {order - 1}:
+                try:
+                    values = itemgetter(*" ".join(rows).split(" "))(symbols)
+                except KeyError:
+                    pass
+                else:
+                    squares.append(LatinSquare._of_symbols(
+                        order, values if order > 1 else (values,), EXTERNAL))
+                    cursor += order
+                    continue
         flat = []                  # the block's symbols, row-major
         for row in range(order):
-            if cursor >= len(lines):
+            if row >= len(rows):
                 raise SquareFileError(
                     f"block {block} ends early: expected {order} rows",
                     line=len(lines) + 1)
             line_no = cursor + 1
-            tokens = lines[cursor].split()
-            lines[cursor] = None   # release the row's text; its tokens are all that is read
+            tokens = rows[row].split()
+            rows[row] = None       # release the row's text; its tokens are all that is read
             if len(tokens) != order:
                 raise SquareFileError(
                     f"block {block}: expected {order} symbols, got {len(tokens)}",
                     line=line_no)
-            if symbols is None:
-                # Built only now, so its size is bounded by the input, not the header.
-                symbols = {str(s): s for s in range(1, order + 1)}
             try:
                 values = itemgetter(*tokens)(symbols)
                 flat += values if order > 1 else (values,)

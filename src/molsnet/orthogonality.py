@@ -6,7 +6,6 @@ the stack is t-orthogonal when all n^2 tuples are pairwise distinct.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -371,6 +370,8 @@ def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes], rows: Seque
     subsets whose distinct squares are equal (as bytes) hold equal tuples
     in the same cells, repeated squares included, so they share one report.
     """
+    import heapq              # only here, so loading the package does not pay for it
+
     groups = _row_pair_groups(labels, rows, n, t)
     column = dict(zip(labels, flat)).__getitem__
     # Each group's t-subsets in index order, merged, so equal subsets are adjacent.
@@ -398,41 +399,53 @@ def _pruned_failures(flat: Sequence[bytes], n: int, t: int, rows: Callable[[int]
     """The failing t-subsets, in index order, at t >= 3 up to order 255,
     once the cover pair `failed` has failed after the pairs in `passed`.
 
-    Every other pair is decided, verdict only, from its stride columns
-    (_pair_columns).  A t-subset fails only if each of its pairs fails, so
-    a square with fewer than t - 1 failing partners is in no failing subset
-    and is dropped; with fewer than t squares S left, none fails.  On S the
-    row-pair groups (_row_pair_failures) decide when 2|S| >= n, and the
-    prefix walk, given every passing pair, otherwise.  The walk's cost
-    grows with C(|S|, 3) when pairs fail and the groups' with C(n, 2) row
-    pairs of |S| squares each.  On the first |S| squares of a shift family
-    at t = 3 (2-core x86 host, Python 3.11, best of 2-3) the walk leads up
-    to about 2|S| = 0.7n and the groups from there on: 1.06 against 1.71 s
-    at order 100 with 25 squares, 4.2 against 2.7 s with 40 and 6.8
-    against 2.5 s with 50; 7.2 against 12.9 ms at order 28 with 10
-    squares and 20 against 16 ms with 14.  Whole families sit far past
-    the rule (the order-28 family: 154 ms walked whole, 35 ms pruned and
-    grouped), and narrow sets such as 12 copies of an order-31 square stay
-    with the walk.
+    Squares equal as bytes are copies of one distinct square, named by the
+    position of its first copy.  Every pair of distinct squares the cover
+    left is decided once, verdict only, from its stride columns
+    (_pair_columns); two copies fail together, as n >= 2 once a pair has
+    failed.  A t-subset fails only if each of its pairs fails, so a square
+    with fewer than t - 1 failing partners, each distinct square counted
+    with its copies, is in no failing subset and is dropped; with fewer
+    than t squares S left, none fails.  On S the row-pair groups
+    (_row_pair_failures) decide when 2|S| >= n, and the prefix walk, given
+    every passing pair, otherwise.  The walk's cost grows with C(|S|, 3)
+    when pairs fail and the groups' with C(n, 2) row pairs of |S| squares
+    each.  On the first |S| squares of a shift family at t = 3 (2-core x86
+    host, Python 3.11, best of 2-3) the walk leads up to about 2|S| = 0.7n
+    and the groups from there on: 1.06 against 1.71 s at order 100 with 25
+    squares, 4.2 against 2.7 s with 40 and 6.8 against 2.5 s with 50; 7.2
+    against 12.9 ms at order 28 with 10 squares and 20 against 16 ms with
+    14.  Whole families sit far past the rule (the order-28 family: 154 ms
+    walked whole, 35 ms pruned and grouped), and narrow sets such as 12
+    copies of an order-31 square stay with the walk.
     """
     full = _full(n)
-    orthogonal, fails = set(passed), Counter(failed)
-    for pair in itertools.combinations(range(1, len(flat) + 1), 2):
-        if pair in orthogonal or pair == failed:
-            continue
-        if _permutes(full, _pair_columns(rows(pair[0]), rows(pair[1]), full)):
-            orthogonal.add(pair)
-        else:
-            fails.update(pair)
-    kept = [k for k in range(1, len(flat) + 1) if fails[k] >= t - 1]
+    first: dict[bytes, int] = {}
+    kind = [first.setdefault(square, k) for k, square in enumerate(flat, start=1)]
+    copies = Counter(kind)
+
+    def distinct(a: int, b: int) -> frozenset[int]:
+        return frozenset((kind[a - 1], kind[b - 1]))
+
+    passes = {distinct(*pair): pair in passed for pair in (*passed, failed)}
+    fails = Counter({k: c - 1 for k, c in copies.items()})
+    for a, b in itertools.combinations(copies, 2):
+        pair = distinct(a, b)
+        if pair not in passes:
+            passes[pair] = _permutes(full, _pair_columns(rows(a), rows(b), full))
+        if not passes[pair]:
+            fails[a] += copies[b]
+            fails[b] += copies[a]
+    kept = [k for k in range(1, len(flat) + 1) if fails[kind[k - 1]] >= t - 1]
     if len(kept) < t:
         return []
     if 2 * len(kept) >= n:
         return _row_pair_failures(kept, [flat[k - 1] for k in kept], list(map(rows, kept)), n, t)
-    position = {k: q for q, k in enumerate(kept, start=1)}
+    # A pair of copies reads None or False from passes: it fails.
     walked = _prefix_walk([flat[k - 1] for k in kept], n, t,
-                          {(position[a], position[b]) for a, b in orthogonal
-                           if a in position and b in position})
+                          {(p, q) for (p, a), (q, b)
+                           in itertools.combinations(enumerate(kept, start=1), 2)
+                           if passes.get(distinct(a, b))})
     return [SubsetVerdict(tuple(kept[q - 1] for q in v.indices), v.report) for v in walked]
 
 

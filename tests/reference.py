@@ -24,6 +24,9 @@
 - `verify_lines` lays out `molsnet verify`'s listing one line per verdict,
   in index order, the way `cmd_verify` did before it joined each run of
   orthogonal lines in one string.
+- `per_row_parse` reads a square file row by row, one split and one
+  gather per row, the way `parse_square_file` read every block before it
+  read each canonically spelled block with one split and one gather.
 - `per_edge_export` formats one edge at a time from `sorted_edges()` and
   finds isolated vertices by marking every edge's endpoints, the way
   `export_graph` worked before it joined one run of names per part pair
@@ -35,8 +38,12 @@ import itertools
 import json
 from collections import Counter
 
-from molsnet import (CHAIN, LatinViolation, OrthogonalityReport, SetOrthogonalityReport,
-                     SubsetVerdict, ValidationReport, part_label, superimpose, vertex_name)
+from operator import itemgetter
+
+from molsnet import (CHAIN, LatinSquare, LatinViolation, MolsSet, NotLatinError,
+                     OrthogonalityReport, SetOrthogonalityReport, SquareFileError, SubsetVerdict,
+                     ValidationReport, part_label, superimpose, vertex_name)
+from molsnet.squares import EXTERNAL
 
 
 def per_subset_verdicts(mols, t):
@@ -222,3 +229,78 @@ def per_edge_export(graph, fmt):
         "edges": [list(edge) for edge in edges],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _convert_row(tokens, order, line_no):
+    """A row's ints, token by token, in any spelling int() accepts."""
+    row = []
+    for column, token in enumerate(tokens, start=1):
+        try:
+            value = int(token)
+        except ValueError:
+            raise SquareFileError(f"{token!r} is not an integer",
+                                  line=line_no, column=column) from None
+        if not 1 <= value <= order:
+            raise SquareFileError(f"symbol {value} out of range 1..{order}",
+                                  line=line_no, column=column)
+        row.append(value)
+    return tuple(row)
+
+
+def per_row_parse(text):
+    """The set a square file holds, or its SquareFileError, read row by row."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise SquareFileError("missing header line 'order count'", line=1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise SquareFileError(f"header must be 'order count', got {len(header)} tokens", line=1)
+    try:
+        order, count = int(header[0]), int(header[1])
+    except ValueError:
+        raise SquareFileError("header must hold two integers 'order count'", line=1) from None
+    if order < 1:
+        raise SquareFileError(f"order must be at least 1, got {order}", line=1)
+    if count < 1:
+        raise SquareFileError(f"count must be at least 1, got {count}", line=1)
+    cursor = 1
+    symbols = None
+    squares = []
+    for block in range(1, count + 1):
+        if block > 1:
+            if cursor >= len(lines) or lines[cursor].strip():
+                raise SquareFileError(f"expected a blank line before block {block}",
+                                      line=cursor + 1)
+            cursor += 1
+        flat = []
+        for row in range(order):
+            if cursor >= len(lines):
+                raise SquareFileError(
+                    f"block {block} ends early: expected {order} rows",
+                    line=len(lines) + 1)
+            line_no = cursor + 1
+            tokens = lines[cursor].split()
+            if len(tokens) != order:
+                raise SquareFileError(
+                    f"block {block}: expected {order} symbols, got {len(tokens)}",
+                    line=line_no)
+            if symbols is None:
+                symbols = {str(s): s for s in range(1, order + 1)}
+            try:
+                values = itemgetter(*tokens)(symbols)
+                flat += values if order > 1 else (values,)
+            except KeyError:
+                flat += _convert_row(tokens, order, line_no)
+            cursor += 1
+        squares.append(LatinSquare._of_symbols(order, flat, EXTERNAL))
+    while cursor < len(lines):
+        if lines[cursor].strip():
+            raise SquareFileError("unexpected content after the final block", line=cursor + 1)
+        cursor += 1
+    try:
+        return MolsSet(order, tuple(squares), EXTERNAL)
+    except NotLatinError as exc:
+        p, first = exc.position, exc.violation
+        row = first.index - 1 if first.axis == "row" else 0
+        raise SquareFileError(f"block {p} is not a Latin square: {first.describe()}",
+                              line=2 + (p - 1) * (order + 1) + row) from None

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import molsnet.files
 import molsnet.squares
 from golden import ORDER4_SQUARE_FILE
 from molsnet import (LatinSquare, MolsSet, SquareFileError, make_mols_family,
@@ -53,12 +54,33 @@ class TestParse:
         assert all(list(block.symbols) == cells for block in parsed)
 
     def test_an_order_1_file_parses(self):
-        for text in ("1 1\n1\n", "1 2\n1\n\n+01\n"):
+        # " 1" holds a space, so it is read by the per-row loop.
+        for text in ("1 1\n1\n", "1 2\n1\n\n+01\n", "1 1\n 1\n"):
             parsed = parse_square_file(text)
             assert parsed.squares == (LatinSquare(1, ((1,),)),) * len(parsed)
             assert [square.symbols for square in parsed] == [b"\x01"] * len(parsed)
         with pytest.raises(SquareFileError, match="line 2, column 1: symbol 2 out of range 1..1"):
             parse_square_file("1 1\n2\n")
+
+    def test_canonical_blocks_are_read_whole_and_others_row_by_row(self, monkeypatch):
+        # A canonically spelled block takes one gather of its n^2 tokens; a
+        # tab in block 2 sends that block alone to the per-row loop, one
+        # gather of n tokens per row.
+        gathers = []
+        original = molsnet.files.itemgetter
+
+        def spy(*items):
+            gathers.append(len(items))
+            return original(*items)
+        monkeypatch.setattr(molsnet.files, "itemgetter", spy)
+        family = make_mols_family(13)
+        lines = serialize_square_file(family).split("\n")
+        assert parse_square_file("\n".join(lines)).squares == family.squares
+        assert gathers == [13 * 13] * 12
+        gathers.clear()
+        lines[15 + 3] = lines[15 + 3].replace(" ", "\t", 1)   # row 4 of block 2
+        assert parse_square_file("\n".join(lines)).squares == family.squares
+        assert gathers == [13 * 13] + [13] * 13 + [13 * 13] * 10
 
     def test_an_order_101_square_holds_one_byte_per_cell(self):
         # 10,201 cells: about 10 KB as bytes, against about 82 KB as a tuple.

@@ -564,19 +564,36 @@ class TestRowPairs:
 
     def test_each_pair_is_decided_once_by_the_cover_or_the_prune(self, monkeypatch):
         # Copies of the first square at positions 1, 4 and 9 of the order-13
-        # family: the cover passes (1, 2) and (1, 3), fails on (1, 4), and
-        # the prune decides every other pair.
+        # family: the cover passes (1, 2) and (1, 3), fails on the copies
+        # (1, 4), and the prune decides every other pair of the 12 distinct
+        # squares, each once, whatever copies it holds.
         mols = _copies_among(make_mols_family(13), (1, 4, 9))
+        decided = self._decided(monkeypatch)
+        report = verify_set_orthogonality(mols, 3)
+        assert len(decided) == sum(decided.values()) == comb(12, 2) + 1
+        assert [v.indices for v in report.failures] == [(1, 4, 9)]
+
+    def test_copies_are_decided_as_one_square(self, monkeypatch):
+        # 1,100 copies of the order-2 square at t = 1,100: the cover's pair
+        # (1, 2) is the one pair decision, and the prune keeps every copy.
+        decided = self._decided(monkeypatch)
+        many = MolsSet(2, (make_additive_square(2, 1),) * 1100)
+        (verdict,) = verify_set_orthogonality(many, 1100).failures
+        assert sum(decided.values()) == 1
+        assert verdict.indices == tuple(range(1, 1101))
+
+    @staticmethod
+    def _decided(monkeypatch):
+        """Count the pairs decided from rows, keyed by the set of the two
+        squares' rows, so copies are one square."""
         decided = Counter()
         original = molsnet.orthogonality._pair_columns
 
         def spy(rows_a, rows_b, full):
-            decided[id(rows_a), id(rows_b)] += 1
+            decided[frozenset((tuple(rows_a), tuple(rows_b)))] += 1
             return original(rows_a, rows_b, full)
         monkeypatch.setattr(molsnet.orthogonality, "_pair_columns", spy)
-        report = verify_set_orthogonality(mols, 3)
-        assert len(decided) == sum(decided.values()) == comb(len(mols), 2)
-        assert [v.indices for v in report.failures] == [(1, 4, 9)]
+        return decided
 
     @pytest.mark.parametrize("t", [3, 4])
     def test_the_route_is_picked_by_the_squares_left_against_the_order(self, t, monkeypatch):

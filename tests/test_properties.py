@@ -38,7 +38,8 @@ square and a shuffled square order, optionally with one square duplicated.
 - Latin validation agrees with a per-symbol count of every lane on
   corrupted grids, also when the grid is block 1-3 of a square file, and
   the square-file parser raises nothing but SquareFileError on mutated or
-  arbitrary text.
+  arbitrary text, and reads each such text as the per-row reference does:
+  the same set, or the same message, line and column.
 """
 
 import contextlib
@@ -63,7 +64,7 @@ from molsnet.files import decode_square_file
 from molsnet.orthogonality import _pair_report
 from molsnet.squares import _rows
 from reference import (count_latin_violations, occurrence_report, per_edge_export,
-                       per_subset_verdicts)
+                       per_row_parse, per_subset_verdicts)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -588,17 +589,35 @@ def test_parse_inverts_serialize(case):
 PARSE_ALPHABET = "0123456789+-_x \t\n\r\x0c\x1c\x85\xa0\u0661\u3000"
 
 
+def parse_outcome(parse, text):
+    """What parse makes of text: a set, or its error's message, line and column."""
+    try:
+        return parse(text)
+    except SquareFileError as exc:
+        return str(exc), exc.line, exc.column
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data(), squares=scrambled_squares())
 def test_single_character_mutations_raise_only_square_file_errors(data, squares):
+    # Every outcome is the per-row reference's.  A token moved to the start
+    # of the next row keeps the block's n^2 tokens, but neither row holds n.
     kept = squares[:data.draw(st.integers(1, 2))]
     text = serialize_square_file(MolsSet(kept[0].order, tuple(kept)))
-    at = data.draw(st.integers(0, len(text)))
-    char = data.draw(st.sampled_from(PARSE_ALPHABET))
-    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
-    skip = 0 if edit == "insert" else 1
-    with contextlib.suppress(SquareFileError):
-        parse_square_file(text[:at] + ("" if edit == "delete" else char) + text[at + skip:])
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "move"]))
+    if edit == "move":
+        lines = text.split("\n")
+        i = data.draw(st.sampled_from([i for i in range(1, len(lines) - 1)
+                                       if lines[i] and lines[i + 1]]))
+        rest, _, token = lines[i].rpartition(" ")
+        lines[i:i + 2] = rest, f"{token} {lines[i + 1]}"
+        text = "\n".join(lines)
+    else:
+        at = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from(PARSE_ALPHABET))
+        skip = 0 if edit == "insert" else 1
+        text = text[:at] + ("" if edit == "delete" else char) + text[at + skip:]
+    assert parse_outcome(parse_square_file, text) == parse_outcome(per_row_parse, text)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -609,12 +628,13 @@ def test_single_byte_mutations_raise_only_square_file_errors(data, squares):
     at = data.draw(st.integers(0, len(raw) - 1))
     byte = bytes([data.draw(st.integers(0, 255))])
     with contextlib.suppress(SquareFileError):
-        parse_square_file(decode_square_file(raw[:at] + byte + raw[at + 1:]))
+        text = decode_square_file(raw[:at] + byte + raw[at + 1:])
+        assert parse_outcome(parse_square_file, text) == parse_outcome(per_row_parse, text)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(header=st.sampled_from(["", "1 1\n", "2 1\n", "2 2\n", "3 1\n"]),
        body=st.text(PARSE_ALPHABET, max_size=40))
 def test_arbitrary_text_raises_only_square_file_errors(header, body):
-    with contextlib.suppress(SquareFileError):
-        parse_square_file(header + body)
+    text = header + body
+    assert parse_outcome(parse_square_file, text) == parse_outcome(per_row_parse, text)
