@@ -515,9 +515,9 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     one run is the whole set, so its pairs are the subsets and a failing
     pair is listed with its report.  At t >= 3 the first failing pair hands
     over: up to order 255 (squares._full) to _pruned_failures, which
-    decides every other pair, drops the squares with fewer than t - 1
-    failing partners and decides the rest from row-pair groups or by the
-    prefix walk; above order 255 to the prefix walk (_prefix_walk) on the
+    decides every other pair of distinct squares, drops the squares with
+    fewer than t - 1 failing partners and decides the rest from row-pair
+    groups or by the prefix walk; above order 255 to the prefix walk (_prefix_walk) on the
     whole set, which settles every node that holds a pair that already
     passed without testing it.
     """
