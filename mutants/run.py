@@ -130,6 +130,9 @@ MUTANTS = (
            "for square, inverse in zip(rows, inverses[1:] + inverses[:1])", PAIR_TESTS),
     Mutant("one report per subset, not per set of distinct squares", ORTHOGONALITY,
            "report = reports.get(squares)", "report = None", PAIR_TESTS),
+    Mutant("report keys stacked from one square fewer", ORTHOGONALITY,
+           "keys = list(zip(*map(read, squares)))", "keys = list(zip(*map(read, [*squares][1:])))",
+           PAIR_TESTS),
     # is_t_orthogonal: the walk on the one subset 1..t.
     Mutant("is_t_orthogonal walks arity - 1 columns", ORTHOGONALITY,
            "_prefix_walk(array.columns, n, array.arity, set())",
@@ -214,25 +217,33 @@ MUTANTS = (
     Mutant("a failing row-route pair taken as orthogonal", GRAPHS,
            "if full and _permutes(full, pair):", "if full:", ("tests/test_graphs.py",)),
     Mutant("a failing row-route pair taken as simple", GRAPHS,
-           "all(_permutes(route, pair) if route else", "all(True if route else",
+           "(_permutes(full, pair) if full else", "(True if full else",
            ("tests/test_graphs.py",)),
+    Mutant("a key-route pair taken as simple", GRAPHS,
+           "sum(map(len, map(set, pair))) == n * n)", "True)", ("tests/test_export.py",)),
     Mutant("tail offsets shifted by one tail", GRAPHS,
            "for tail in range(n + 1, (n + 1) ** 2, n + 1)",
            "for tail in range(2 * (n + 1), (n + 1) * (n + 2), n + 1)", ("tests/test_graphs.py",)),
     Mutant("graph_stats reads simplicity from the first part pair only", GRAPHS,
-           "all(_permutes(route, pair) if route", "next(_permutes(route, pair) if route",
-           ("tests/test_export.py",)),
+           "simple = simple and (", "simple = simple if c else (", ("tests/test_export.py",)),
     Mutant("repeated keys left in cell order", GRAPHS,
            "parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
            "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
            ("tests/test_export.py",)),
     Mutant("degrees taken as n for a column with a non-permutation row", GRAPHS,
-           "latin = full and _permutes(full, rows[p])",
-           "latin = full",
+           "tuple(len(heads) * (2 if c else 1)", "tuple(n * (2 if c else 1)",
            ("tests/test_graphs.py",)),
-    Mutant("graph_stats cuts each column's rows again for simplicity", GRAPHS,
-           "for route, pair in graph._part_pairs(rows)))",
-           "for route, pair in graph._part_pairs()))", ("tests/test_graphs.py",)),
+    Mutant("the last part's degrees read from the previous pair", GRAPHS,
+           "degrees.append(tuple(map(last.__getitem__, range(1, n + 1))))",
+           "degrees.append(tuple(map(len, pair)))", ("tests/test_graphs.py",)),
+    Mutant("graph_stats reads every part pair twice", GRAPHS,
+           "enumerate(graph._part_pairs()):\n        degrees",
+           "enumerate([*graph._part_pairs()] and graph._part_pairs()):\n        degrees",
+           ("tests/test_graphs.py",)),
+    Mutant("a head appended to the wrong tail", GRAPHS,
+           "append[u - 1](v)", "append[u - 2](v)", ("tests/test_graphs.py",)),
+    Mutant("a key-route tail left unsorted", GRAPHS,
+           "yield None, list(map(sorted, pair))", "yield None, pair", ("tests/test_export.py",)),
     # The isolated vertices of the edge list.
     Mutant("isolated names list every symbol", EXPORT,
            "full.translate(None, column) if full else", "full if full else",

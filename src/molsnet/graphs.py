@@ -9,18 +9,16 @@ degrees ignore direction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, pairwise, repeat
+from itertools import chain, compress, pairwise, repeat
 from math import comb
 from operator import add, floordiv, gt, mod
 from typing import Iterator, Sequence
 
 from .errors import InputError, NotOrthogonalError
-from .orthogonality import (Cell, TupleArray, _pair_columns, _runs, cell_of, is_t_orthogonal,
-                            stacked_keys)
+from .orthogonality import Cell, Column, TupleArray, _pair_columns, _runs, cell_of, is_t_orthogonal
 from .squares import _full, _permutes, _rows
 
 Vertex = tuple[int, int]          # (part position 0-based, symbol 1-based)
@@ -118,12 +116,11 @@ class PartiteGraph:
                 for v in range(1, self.part_sizes[q] + 1):
                     yield (p, u), (q, v)
 
-    def _part_pairs(self, rows: Sequence[list[bytes] | None] | None = None
-                    ) -> Iterator[tuple[bytes | None, list]]:
+    def _part_pairs(self) -> Iterator[tuple[bytes | None, list]]:
         """Per part pair c of a chain graph, the pair by the one route rule
-        that every reader of its edges (c, u) -> (c+1, v) follows.  rows, if
-        given, holds each column's rows (squares._rows) up to order 255, so
-        a caller that has cut them already does not cut them again.
+        that every reader of its edges (c, u) -> (c+1, v) follows, as its
+        heads per tail: pair[u - 1] holds the heads v of tail u's edges, one
+        per edge, on both routes.
 
         Row route: up to order 255 (squares._full), where every column is
         bytes, when every row of column c is a permutation of 1..n
@@ -131,18 +128,18 @@ class PartiteGraph:
         columns the pair's stride columns (orthogonality._pair_columns):
         columns[u - 1] holds the heads of tail u's n edges, one per row.
         Key route, every other part pair (an order above 255, or a row of
-        column c that is no permutation): (None, keys), the pair's stacked
-        keys u * (n+1) + v in cell order, made in one pass.
+        column c that is no permutation): (None, heads), with heads[u - 1]
+        the heads of tail u's edges in cell order (_heads_by_tail), empty
+        when u is absent from column c.
         """
         n, columns = self.array.order, self.array.columns
         full = _full(n)
-        if rows is None:
-            rows = (_rows(column, n) if full else None for column in columns)
+        rows = (_rows(column, n) if full else None for column in columns)
         for c, (rows_a, rows_b) in enumerate(pairwise(rows)):
             if rows_a and _permutes(full, rows_a):
                 yield full, _pair_columns(rows_a, rows_b, full)
             else:
-                yield None, stacked_keys(columns[c], columns[c + 1], n)
+                yield None, _heads_by_tail(columns[c], columns[c + 1], n)
 
     def _tail_heads(self) -> Iterator[tuple[bytes | None, list[Sequence[int]]]]:
         """Per part pair c of a chain graph, (full, heads): heads[u - 1] holds
@@ -151,18 +148,14 @@ class PartiteGraph:
 
         On the row route (_part_pairs) a tail whose heads are a permutation
         is given as full itself, with no sort; any other tail's n heads are
-        sorted.  On the key route the keys sort as their symbol pairs do, so
-        the sorted keys are cut at each tail's first key and decoded; full
-        is then None.
+        sorted.  On the key route each tail's heads are sorted; full is then
+        None.
         """
-        base = self.array.order + 1
         for full, pair in self._part_pairs():
             if full:
                 yield full, [sorted(heads) if full.translate(None, heads) else full for heads in pair]
             else:
-                pair.sort()
-                cuts = [bisect_left(pair, u * base) for u in range(1, base + 1)]
-                yield None, [[key % base for key in pair[i:j]] for i, j in pairwise(cuts)]
+                yield None, list(map(sorted, pair))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -193,6 +186,17 @@ class PartiteGraph:
     def has_vertex(self, vertex: Vertex) -> bool:
         p, s = vertex
         return 0 <= p < self.num_parts and 1 <= s <= self.part_sizes[p]
+
+
+def _heads_by_tail(tails: Column, heads: Column, n: int) -> list[list[int]]:
+    """The key route's part pair (PartiteGraph._part_pairs) of a tail column
+    and a head column: pair[u - 1] lists the heads of tail u in cell order,
+    made in one pass over the two columns."""
+    pair: list[list[int]] = [[] for _ in range(n)]
+    append = [tail.append for tail in pair]
+    for u, v in zip(tails, heads):
+        append[u - 1](v)
+    return pair
 
 
 def build_partite_graph(array: TupleArray) -> PartiteGraph:
@@ -234,13 +238,14 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
 
     The edges between parts c and c+1 are the symbol pairs of columns c
     and c+1, so one count of their keys u * (n+1) + v per part pair gives
-    every multiplicity.  A row-route part pair (PartiteGraph._part_pairs)
-    none of whose stride columns misses a symbol has no repeated edge and
-    is not counted; any other holds tail u's heads in its column u - 1, so
-    its keys are the joined columns plus one offset per tail, n in a row,
-    from one list of offsets made for the graph on first use.
-    The repeated keys are picked from the count, sorted as ints, which
-    sorts them as their pairs, and decoded.
+    every multiplicity.  Every part pair (PartiteGraph._part_pairs) holds
+    tail u's heads in its list u - 1.  A row-route part pair none of whose
+    stride columns misses a symbol has no repeated edge and is not counted;
+    any other row-route pair's keys are the joined columns plus one offset
+    per tail, n in a row, from one list of offsets made for the graph on
+    first use.  A key-route pair's keys are made tail by tail, each tail's
+    offset added to its heads.  The repeated keys are picked from the
+    count, sorted as ints, which sorts them as their pairs, and decoded.
     """
     if graph.kind != CHAIN:
         raise ValueError("edge multiplicity applies to chain-construction graphs")
@@ -251,7 +256,9 @@ def edge_multiplicity(graph: PartiteGraph) -> MultiplicityReport:
     for c, (full, pair) in enumerate(graph._part_pairs()):
         if full and _permutes(full, pair):
             continue
-        counts = Counter(map(add, offsets(), b"".join(pair)) if full else pair)
+        counts = Counter(map(add, offsets(), b"".join(pair)) if full else
+                         chain.from_iterable(map(add, repeat(u * (n + 1)), heads)
+                                             for u, heads in enumerate(pair, 1)))
         if len(counts) < n * n:
             parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))
             repeated.append((c, tuple(map(floordiv, parallel, base)),
@@ -322,35 +329,29 @@ def graph_stats(graph: PartiteGraph) -> GraphStats:
 
     In a chain graph each cell holding s at part p sends one edge to each
     neighbouring part, so the degree of (p, s) is the count of s in column
-    p, once in the end parts and twice inside.  The route is chosen by the
-    order (squares._full): up to order 255, where every column is bytes, a
-    column whose rows are each a permutation of 1..n (squares._permutes)
-    holds every symbol n times, so its degrees need no count; any other
-    column (a row that is no permutation, or any column above order 255) is
-    counted.  The graph is simple when every consecutive column pair holds
-    n^2 distinct symbol pairs: on the row route (PartiteGraph._part_pairs,
-    given the rows the degrees cut, so each column is cut once) when its
-    stride columns are permutations, on the key route when the keys are
-    distinct; the first part pair that repeats an edge ends the test.  In a
-    complete multipartite graph a vertex meets every vertex outside its
-    part.
+    p, once in the end parts and twice inside.  Each part pair c
+    (PartiteGraph._part_pairs) lists tail u's heads in its list u - 1, one
+    per edge, so that count is the list's length for every column but the
+    last, which is counted once.  The graph is simple when every part pair
+    holds n^2 distinct symbol pairs: on the row route when its stride
+    columns are permutations (squares._permutes), on the key route when no
+    tail repeats a head.  In a complete multipartite graph a vertex meets
+    every vertex outside its part.
     """
     if graph.array is None:
         total = graph.vertex_count
         degrees = tuple((total - size,) * size for size in graph.part_sizes)
         return GraphStats(graph.kind, total, graph.edge_count, graph.part_sizes, degrees, True)
-    n, t, columns = graph.array.order, graph.array.arity, graph.array.columns
-    full = _full(n)
-    rows = [_rows(column, n) if full else None for column in columns]
-    degrees = []
-    for p, column in enumerate(columns):
-        latin = full and _permutes(full, rows[p])
-        counts = dict.fromkeys(range(1, n + 1), n) if latin else Counter(column)
-        neighbours = 1 if p in (0, t - 1) else 2
-        degrees.append(tuple(counts[s] * neighbours for s in range(1, n + 1)))
+    n = graph.array.order
+    degrees, simple = [], True
+    for c, (full, pair) in enumerate(graph._part_pairs()):
+        degrees.append(tuple(len(heads) * (2 if c else 1) for heads in pair))
+        simple = simple and (_permutes(full, pair) if full else
+                             sum(map(len, map(set, pair))) == n * n)
+    last = Counter(graph.array.columns[-1])
+    degrees.append(tuple(map(last.__getitem__, range(1, n + 1))))
     return GraphStats(graph.kind, graph.vertex_count, graph.edge_count, graph.part_sizes,
-                      tuple(degrees), all(_permutes(route, pair) if route else len(set(pair)) == n * n
-                                          for route, pair in graph._part_pairs(rows)))
+                      tuple(degrees), simple)
 
 
 def channels_through(graph: PartiteGraph, vertex: Vertex) -> tuple[ChannelChain, ...]:

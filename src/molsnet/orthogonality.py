@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 from operator import add, eq, ge, gt, itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .squares import LatinSquare, MolsSet, _full, _lane_slices, _permutes, _rows
@@ -106,16 +106,6 @@ def cell_of(position: int, n: int) -> Cell:
     return position // n + 1, position % n + 1
 
 
-def stacked_keys(keys: Sequence[int], column: Column, n: int) -> list[int]:
-    """Append a column to per-cell keys: key * (n+1) + symbol.
-
-    Starting from a column, the key of a cell is its prefix of symbols read
-    as a base-(n+1) number.  That is injective because every symbol lies in
-    1..n, and it orders cells the way their symbol tuples sort.
-    """
-    return list(map(add, map(mul, keys, itertools.repeat(n + 1)), column))
-
-
 def superimpose(squares: Iterable[LatinSquare]) -> TupleArray:
     """Stack squares cell by cell into a tuple array.
 
@@ -155,15 +145,18 @@ def is_t_orthogonal(array: TupleArray) -> OrthogonalityReport:
     return failures[0].report if failures else OrthogonalityReport(True, n * n, None)
 
 
-def _collision_report(keys: Sequence[int], n: int,
+def _collision_report(keys: Sequence[Hashable], n: int,
                       positions: Sequence[int]) -> OrthogonalityReport:
     """The report of a stack whose per-cell keys are not all distinct.
 
     keys[k] is the key of row-major position positions[k], in increasing
-    position order; every cell left out of positions holds a key no other
-    cell holds.  One count of the keys gives the distinct count.  The first
-    index whose key repeats is that key's first occurrence, so it is the
-    first cell of the certificate, and the key's next occurrence the second.
+    position order, and two cells hold equal keys exactly when they hold
+    one tuple: any hashable key will do, such as the walk's ints or the
+    tuples themselves.  Every cell left out of positions holds a key no
+    other cell holds.  One count of the keys gives the distinct count.  The
+    first index whose key repeats is that key's first occurrence, so it is
+    the first cell of the certificate, and the key's next occurrence the
+    second.
     """
     counts = Counter(keys)
     a = next(itertools.compress(itertools.count(), map(gt, map(counts.__getitem__, keys),
@@ -236,7 +229,13 @@ def subset_rank(indices: Sequence[int], size: int) -> int:
 
 
 def _scaled(keys: Iterable[int], n: int) -> list[int]:
-    """Per-cell keys times (n+1): one key pass, made once per tree node."""
+    """Per-cell keys times (n+1): one key pass, made once per tree node.
+
+    Starting from a column, the key of a cell is its prefix of symbols read
+    as a base-(n+1) number, each symbol appended to the scaled key of the
+    prefix before it (_appended).  That is injective because every symbol
+    lies in 1..n, and it orders cells the way their symbol tuples sort.
+    """
     return list(map(mul, keys, itertools.repeat(n + 1)))
 
 
@@ -366,9 +365,11 @@ def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes], rows: Seque
     one group holds it.
 
     A failing subset's report is _collision_report over the cells of the
-    groups that hold it, since every other cell's tuple is unique.  Two
-    subsets whose distinct squares are equal (as bytes) hold equal tuples
-    in the same cells, repeated squares included, so they share one report.
+    groups that hold it, since every other cell's tuple is unique; each
+    cell's key is its tuple of symbols on the subset's distinct squares.
+    Two subsets whose distinct squares are equal (as bytes) hold equal
+    tuples in the same cells, repeated squares included, so they share one
+    report.
     """
     import heapq              # only here, so loading the package does not pay for it
 
@@ -385,10 +386,7 @@ def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes], rows: Seque
         if report is None:
             positions = sorted(set().union(*(groups[group] for _, group in holders)))
             read = itemgetter(*positions)
-            first, *rest = squares
-            keys = list(read(first))
-            for symbols in rest:
-                keys = stacked_keys(keys, read(symbols), n)
+            keys = list(zip(*map(read, squares)))
             report = reports[squares] = _collision_report(keys, n, positions)
         failures.append(SubsetVerdict(subset, report))
     return failures
@@ -453,8 +451,9 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
                  orthogonal_pairs: set[tuple[int, int]]) -> list[SubsetVerdict]:
     """The failing t-subsets, in index order, from a depth-first prefix walk.
 
-    A node holds the stacked_keys of its prefix, scaled by n+1 once, so each
-    child adds its column in one pass.  Cells that differ on a prefix differ
+    A node holds one key per cell, its prefix of symbols read as a
+    base-(n+1) number, scaled by n+1 once (_scaled), so each child adds its
+    column in one pass (_appended).  Cells that differ on a prefix differ
     on every extension of it, so a node whose keys are distinct settles all
     its completions as orthogonal without more work, and so does a node
     that holds a pair in orthogonal_pairs, at any depth, without a pass.  A

@@ -427,9 +427,10 @@ class TestStats:
     def test_each_part_pair_keys_are_built_once(self, order, method, tmp_path, monkeypatch,
                                                 capsys):
         # Up to order 255 each column's rows are cut once, and Latin part
-        # pairs are read from them with no key pass.  Above it no rows are
-        # cut and each part pair makes one key pass, which the multiplicity
-        # report and the simplicity line share: the multiplicative square of
+        # pairs are read from them with no key-route build.  Above it no
+        # rows are cut and each part pair makes one key-route build
+        # (_heads_by_tail), which the multiplicity report and the
+        # simplicity line share: the multiplicative square of
         # order 256 and its row shifts 1-3 repeat edges in all three part
         # pairs, and the additive squares of order 257 with slopes 1-4
         # repeat none.
@@ -443,16 +444,16 @@ class TestStats:
         path = tmp_path / "family.txt"
         path.write_text(serialize_square_file(family))
         built, cut = [], []
-        stacked_keys, rows = molsnet.graphs.stacked_keys, molsnet.graphs._rows
+        heads_by_tail, rows = molsnet.graphs._heads_by_tail, molsnet.graphs._rows
 
-        def spy(keys, column, n):
+        def spy(tails, heads, n):
             built.append(n)
-            return stacked_keys(keys, column, n)
+            return heads_by_tail(tails, heads, n)
 
         def row_spy(column, n):
             cut.append(n)
             return rows(column, n)
-        monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
+        monkeypatch.setattr(molsnet.graphs, "_heads_by_tail", spy)
         monkeypatch.setattr(molsnet.graphs, "_rows", row_spy)
         assert main(["stats", "--t", "4", "--in", str(path)]) == 0
         assert built == [order] * (3 if order > 255 else 0)

@@ -172,27 +172,30 @@ def test_mixed_chain_graphs_match_the_per_edge_exporter():
 
 
 def _key_passes(monkeypatch):
-    """The orders of the stacked_keys calls the graphs module makes from now on."""
+    """The orders of the key-route part pairs (_heads_by_tail) the graphs
+    module builds from now on."""
     passes = []
-    original = molsnet.graphs.stacked_keys
+    original = molsnet.graphs._heads_by_tail
 
-    def spy(keys, column, n):
+    def spy(tails, heads, n):
         passes.append(n)
-        return original(keys, column, n)
-    monkeypatch.setattr(molsnet.graphs, "stacked_keys", spy)
+        return original(tails, heads, n)
+    monkeypatch.setattr(molsnet.graphs, "_heads_by_tail", spy)
     return passes
 
 
 def test_part_pairs_whose_tails_rows_are_permutations_make_no_key_pass(monkeypatch):
     # Every mixed chain graph stacks Latin squares, so each part pair is read
-    # from rows, orthogonal, equal and shift neighbours alike.  The graphs
-    # are built first: build_partite_graph's check makes keys of its own.
+    # from rows, orthogonal, equal and shift neighbours alike, by every
+    # reader.
     graphs = mixed_chain_graphs()
     passes = _key_passes(monkeypatch)
     for graph in graphs.values():
         for fmt in FORMATS:
             export_graph(graph, fmt)
         list(graph.sorted_edges())
+        edge_multiplicity(graph)
+        graph_stats(graph)
     assert passes == []
 
 
@@ -210,11 +213,11 @@ def test_both_sides_of_the_bytes_limit_route_part_pairs_exactly(n, monkeypatch):
     # Bytes hold symbols up to 255.  The (a, a, b) and (a, b, b) stacks and
     # (a, a, b) with a 1.0 in its first square (stored as the int 1, so it
     # exports as the first) are read from rows at order 255 and make one
-    # key pass per part pair above it.  In the stack (i, i, j) every row of
-    # columns 0 and 1 repeats one symbol, so both its part pairs make one
-    # key pass at every order.  Every export and the multiplicity report
-    # read each part pair; the stats stop at the first that repeats an
-    # edge, the second part pair of (a, b, b) and the first of the others.
+    # key-route build (_heads_by_tail) per part pair above it.  In the
+    # stack (i, i, j) every row of columns 0 and 1 repeats one symbol, so
+    # both its part pairs make one key-route build at every order.  Every
+    # export, the multiplicity report and the stats read each part pair
+    # once, the stats for its degrees.
     # The oracle's t * n^4 cell reads are out of reach here, so the counts
     # come from its one-pass reference.
     a, b = _cyclic(n, 1), _cyclic(n, 2)
@@ -237,7 +240,7 @@ def test_both_sides_of_the_bytes_limit_route_part_pairs_exactly(n, monkeypatch):
         assert passes == per_pair * 2, name
         passes.clear()
         stats = graph_stats(graph)
-        assert passes == per_pair * (2 if name == "a b b" else 1), name
+        assert passes == per_pair * 2, name
         monkeypatch.undo()
         counts = cell_pair_counts(array)
         assert report.duplicated_edges == tuple(sorted((edge, k) for edge, k in counts.items()

@@ -115,31 +115,36 @@ class TestIsTOrthogonal:
 
     def test_each_call_is_one_walk_of_its_one_subset(self, family4, family5, monkeypatch):
         # The verdict is _prefix_walk's on the subset 1..t of the stack's
-        # columns, with no passed pairs and no stacked_keys pass of its own:
-        # orthogonal at t = 2 and t = 4, a failing pair, a stack that fails
-        # on its first two squares and passes with the third, a stack that
-        # fails at every depth, and order 1.
-        walks, key_passes = [], []
-        walk, keys = molsnet.orthogonality._prefix_walk, molsnet.orthogonality.stacked_keys
+        # columns, with no passed pairs and no key pass (_appended) of its
+        # own, outside the walk: orthogonal at t = 2 and t = 4, a failing
+        # pair, a stack that fails on its first two squares and passes with
+        # the third, a stack that fails at every depth, and order 1.
+        walks, key_passes, walking = [], [], []
+        walk, keys = molsnet.orthogonality._prefix_walk, molsnet.orthogonality._appended
 
         def walk_spy(*args):
             walks.append(args)
-            return walk(*args)
+            walking.append(args)
+            try:
+                return walk(*args)
+            finally:
+                walking.pop()
 
         def keys_spy(*args):
-            key_passes.append(args)
+            key_passes.append(bool(walking))
             return keys(*args)
         monkeypatch.setattr(molsnet.orthogonality, "_prefix_walk", walk_spy)
-        monkeypatch.setattr(molsnet.orthogonality, "stacked_keys", keys_spy)
+        monkeypatch.setattr(molsnet.orthogonality, "_appended", keys_spy)
         one = LatinSquare(1, ((1,),))
         stacks = [family5.squares[:2], family5.squares, family4.squares[:2], family4.squares[:3],
                   (family5[2],) * 3, (one, one)]
         for squares in stacks:
             array = superimpose(squares)
             walks.clear()
+            key_passes.clear()
             report = is_t_orthogonal(array)
             assert walks == [(array.columns, array.order, len(squares), set())]
-            assert not key_passes
+            assert key_passes and all(key_passes)
             assert report == occurrence_report(array)
 
 
