@@ -226,10 +226,10 @@ MUTANTS = (
            "for tail in range(2 * (n + 1), (n + 1) * (n + 2), n + 1)", ("tests/test_graphs.py",)),
     Mutant("graph_stats reads simplicity from the first part pair only", GRAPHS,
            "simple = simple and (", "simple = simple if c else (", ("tests/test_export.py",)),
-    Mutant("repeated keys left in cell order", GRAPHS,
+    Mutant("repeated keys left in count order", GRAPHS,
            "parallel = sorted(compress(counts, map(gt, counts.values(), repeat(1))))",
            "parallel = list(compress(counts, map(gt, counts.values(), repeat(1))))",
-           ("tests/test_export.py",)),
+           ("tests/test_export.py", "tests/test_properties.py")),
     Mutant("degrees taken as n for a column with a non-permutation row", GRAPHS,
            "tuple(len(heads) * (2 if c else 1)", "tuple(n * (2 if c else 1)",
            ("tests/test_graphs.py",)),
