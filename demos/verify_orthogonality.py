@@ -35,7 +35,7 @@ def main():
     family = make_mols_family(5)
     for t in (2, 3, 4):
         report = verify_set_orthogonality(family, t)
-        print(f"  t={t}: {len(report.verdicts)} subsets, "
+        print(f"  t={t}: {report.subset_count} subsets, "
               f"all orthogonal: {report.all_orthogonal}")
     print()
 

@@ -9,13 +9,15 @@ Each mutant is one (file, old, new) edit of the package source, and old
 must occur exactly once in its file.  For each mutant, src/, tests/ and
 pyproject.toml are copied to a temporary directory, since pytest's
 pythonpath = ["src"] would otherwise import the unmutated tree; the edit is
-applied to the copy, and the mutant's test files run there with -x -q, one
-process at a time.  A mutant is
+applied to the copy, and the mutant's tests run there with -x -q, one
+process at a time.  Each test is a file, or path::Class for one class of
+it.  A mutant is
 
     killed    when its tests fail,
     survived  when they all pass,
     stale     when old no longer occurs exactly once (nothing is run),
-    error     when pytest stops for another reason (exit code not 0 or 1).
+    error     when pytest stops for another reason (exit code not 0 or 1),
+              such as a path::Class that names no class of the file.
 
 The exit status is 1 when any mutant is not killed.  A change that adds a
 shortcut adds the mutants that break it here.
@@ -41,6 +43,7 @@ FILES = "src/molsnet/files.py"
 EXPORT = "src/molsnet/export.py"
 PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
 CLI_TESTS = ("tests/test_cli.py",)
+TUPLE_ARRAY_TESTS = ("tests/test_orthogonality.py::TestTupleArrayChecks",)
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class Mutant:
     file: str                 # relative to the repository root
     old: str
     new: str
-    tests: tuple[str, ...]    # test files, relative to the repository root
+    tests: tuple[str, ...]    # test files or path::Class, relative to the root
 
 
 MUTANTS = (
@@ -149,22 +152,22 @@ MUTANTS = (
            ("tests/test_orthogonality.py",)),
     # The symbol checks of TupleArray.
     Mutant("accept every bytes column", ORTHOGONALITY,
-           "not column.translate(None, full) else", "True else", ("tests/test_orthogonality.py",)),
+           "not column.translate(None, full) else", "True else", TUPLE_ARRAY_TESTS),
     Mutant("range check by min and max", ORTHOGONALITY,
            "pack(map(table.__getitem__, column))",
            "(column if 1 <= min(column) and max(column) <= order else {}[0])",
-           ("tests/test_orthogonality.py",)),
+           TUPLE_ARRAY_TESTS),
     Mutant("float columns stored as given", ORTHOGONALITY,
            "pack(map(table.__getitem__, column))", "pack(map(table.__getitem__, column)) and column",
            ("tests/test_export.py",)),
     Mutant("every column stored as a tuple", ORTHOGONALITY,
            "pack = tuple if full is None else bytes", "pack = tuple",
-           ("tests/test_orthogonality.py",)),
+           TUPLE_ARRAY_TESTS),
     Mutant("an unhashable symbol not caught", ORTHOGONALITY,
-           "except (KeyError, TypeError):", "except KeyError:", ("tests/test_orthogonality.py",)),
+           "except (KeyError, TypeError):", "except KeyError:", TUPLE_ARRAY_TESTS),
     Mutant("first bad entry by 1 <= s <= n", ORTHOGONALITY,
            "if any(s not in range(1, n + 1) for s in entry):",
-           "if any(not 1 <= s <= n for s in entry):", ("tests/test_orthogonality.py",)),
+           "if any(not 1 <= s <= n for s in entry):", TUPLE_ARRAY_TESTS),
     # A square is its bytes: the one normalization of LatinSquare and the parse.
     Mutant("the byte table read dropped from LatinSquare", SQUARES,
            "symbols = bytes(map(_BYTE_VALUES.__getitem__, symbols))", "symbols = tuple(symbols)",
@@ -282,13 +285,15 @@ MUTANTS = (
     Mutant("the final run dropped", CLI,
            'lines.append("squares (" + joint.join(subsets) + suffix)', "pass", CLI_TESTS),
     # The closed form of stats: degrees from the Latin check, simplicity from
-    # the multiplicity report.
+    # the multiplicity report, bipartiteness from the part layout.
     Mutant("stats: inner parts given n", CLI,
            "else 2 * n)", "else n)", CLI_TESTS),
     Mutant("stats: end parts given 2n", CLI,
            "str(n if p in (0, t - 1)", "str(2 * n if p in (0, t - 1)", CLI_TESTS),
     Mutant("stats: simple inverted", CLI,
            "{'no' if mult.repeated else 'yes'}", "{'yes' if mult.repeated else 'no'}", CLI_TESTS),
+    Mutant("stats: bipartite no", CLI,
+           'print("bipartite: yes")', 'print("bipartite: no")', CLI_TESTS),
     # --out paths that name no file.
     Mutant("the --out check skipped", CLI,
            'if os.path.basename(out) in ("", ".", ".."):', "if False:", CLI_TESTS),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graphs import MULTIPARTITE, Edge, PartiteGraph
 from .orthogonality import OrthogonalityReport, SetOrthogonalityReport, SubsetVerdict, TupleArray
@@ -142,23 +141,17 @@ class SearchResult:
     witness: MolsSet | None = None
 
 
-def exhaustive_mols_search(n: int, count: int, t: int,
-                           candidates: Sequence[LatinSquare] | None = None) -> SearchResult:
+def exhaustive_mols_search(n: int, count: int, t: int) -> SearchResult:
     """Search for `count` order-n Latin squares whose every t-subset has
-    pairwise distinct tuples, by backtracking over all squares.
+    pairwise distinct tuples, by backtracking over every Latin square of
+    order n in `enumerate_latin_squares` order.
 
-    candidates overrides the enumeration pool (same squares in any order
-    must give the same verdict).  Bounded to n <= 4.
+    The enumeration is the one bound on n (1..4): any other n raises its
+    ValueError.
     """
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if n > SEARCH_MAX_ORDER:
-        raise ValueError(f"search is bounded to order {SEARCH_MAX_ORDER}, got {n}")
     if not 2 <= t <= count:
         raise ValueError(f"need 2 <= t <= count, got t={t}, count={count}")
-    pool = list(candidates) if candidates is not None else enumerate_latin_squares(n)
-    if any(square.order != n for square in pool):
-        raise ValueError(f"candidate squares must all have order {n}")
+    pool = enumerate_latin_squares(n)
     if count > len(pool):
         return SearchResult(False, None)
     flats = [square.symbols for square in pool]

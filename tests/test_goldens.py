@@ -8,6 +8,8 @@ the repository root:
 
     PYTHONPATH=src python3 tests/test_goldens.py
 
+README.md's library quickstart, its one python block, is run as written.
+
 The exports of two large graphs, tens of MB each, and the 1 MB `verify`
 text of a set whose failures pass the listing cap are pinned by their
 sha256 digests in LARGE_DIGESTS and LARGE_VERIFY_DIGESTS instead of files.
@@ -16,6 +18,7 @@ sha256 digests in LARGE_DIGESTS and LARGE_VERIFY_DIGESTS instead of files.
 import contextlib
 import hashlib
 import io
+import re
 import runpy
 import tempfile
 from pathlib import Path
@@ -28,6 +31,7 @@ from molsnet.cli import main
 
 GOLDENS = Path(__file__).with_name("goldens")
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Orthogonal but not Latin: symbol 2 never appears in part A, so A2 is an
 # isolated vertex and A1 carries two parallel edges to each of B1 and B2.
@@ -177,3 +181,8 @@ if __name__ == "__main__":
     GOLDENS.mkdir(exist_ok=True)
     for filename, text in render_all().items():
         (GOLDENS / filename).write_bytes(text.encode())
+
+
+def test_readme_quickstart_runs():
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    exec(compile(block, str(README), "exec"), {})

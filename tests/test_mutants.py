@@ -3,9 +3,11 @@
 mutants/run.py copies the tree, applies one source edit and runs tests on
 it; that takes minutes, so the gate itself is run by hand.  Here: an edit
 whose old text no longer occurs exactly once is reported stale without
-starting a process, and every listed edit applies to the tree as it is.
+starting a process, and every listed edit applies to the tree as it is,
+with tests that exist: a file, or path::Class naming a class of that file.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -47,4 +49,10 @@ def test_every_listed_edit_matches_exactly_once(gate):
     assert len({mutant.name for mutant in gate.MUTANTS}) == len(gate.MUTANTS)
     for mutant in gate.MUTANTS:
         assert mutant.old != mutant.new
-        assert all((gate.ROOT / test).is_file() for test in mutant.tests)
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            assert (gate.ROOT / path).is_file(), test
+            if name:
+                tree = ast.parse((gate.ROOT / path).read_text())
+                assert name in {node.name for node in tree.body
+                                if isinstance(node, ast.ClassDef)}, test

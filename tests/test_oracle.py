@@ -170,22 +170,12 @@ class TestExhaustiveMolsSearch:
         for combo in itertools.combinations(range(4), 3):
             assert brute_force_distinctness(superimpose([witness[i] for i in combo]))
 
-    def test_verdict_is_stable_under_candidate_order(self):
-        rng = random.Random(42)
-        for n, count, t, expect in ((2, 2, 2, False), (3, 2, 2, True)):
-            pool = enumerate_latin_squares(n)
-            rng.shuffle(pool)
-            assert exhaustive_mols_search(n, count, t, candidates=pool).found == expect
-
-    def test_candidate_pool_restricts_the_search(self, family4):
-        # Only non-orthogonal squares available: nothing to find.
-        square = family4[0]
-        result = exhaustive_mols_search(4, 2, 2, candidates=[square, square])
-        assert not result.found
-
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        # The enumeration is the search's one bound on n.
+        with pytest.raises(ValueError, match="enumeration is bounded to order 4"):
             exhaustive_mols_search(5, 2, 2)
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            exhaustive_mols_search(0, 2, 2)
         with pytest.raises(ValueError):
             exhaustive_mols_search(3, 2, 3)       # t > count
         with pytest.raises(ValueError):

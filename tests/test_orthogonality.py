@@ -229,6 +229,25 @@ class TestVerifySetOrthogonality:
         assert verdict.report.distinct_count == 2
         assert verdict.report.first_collision == ((1, 1), (2, 2))
 
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_copies_of_one_square_fail_in_closed_form(self, n):
+        # A stack of copies repeats one coordinate, so its n^2 tuples take
+        # n values, and cell (1,1) first repeats in row 2, at the column
+        # that holds its symbol.  Orders 8 and 9 have no family; the cyclic
+        # square (i + j) mod n stands in for theirs.
+        if is_prime(n) or is_prime(n + 1):
+            square = make_mols_family(n).squares[0]
+        else:
+            square = LatinSquare(n, tuple(tuple((i + j) % n + 1 for j in range(n))
+                                          for i in range(n)))
+        cells = square.cells
+        closed_form = OrthogonalityReport(False, n, ((1, 1), (2, cells[1].index(cells[0][0]) + 1)))
+        for k in (2, 3, 7, 12):
+            for t in range(2, min(k, 5) + 1):
+                verdicts = tuple(verify_set_orthogonality(MolsSet(n, (square,) * k), t).verdicts)
+                assert len(verdicts) == comb(k, t)
+                assert {verdict.report for verdict in verdicts} == {closed_form}
+
     def test_keys_past_64_bits_with_mixed_verdicts(self, family5):
         # The prefixes of 26 copies of one square fail with keys up to
         # 6^26, about 2^67; adding the other square makes them orthogonal.
