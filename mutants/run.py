@@ -6,8 +6,9 @@ Run from anywhere, with pytest and hypothesis installed:
     python mutants/run.py NAME ...     # the named mutants only
 
 Each mutant is one (file, old, new) edit of the package source, and old
-must occur exactly once in its file.  For each mutant, src/, tests/ and
-pyproject.toml are copied to a temporary directory, since pytest's
+must occur exactly once in its file.  For each mutant, src/, tests/,
+demos/, pyproject.toml and README.md (the goldens run the demos and the
+README's quickstart) are copied to a temporary directory, since pytest's
 pythonpath = ["src"] would otherwise import the unmutated tree; the edit is
 applied to the copy, and the mutant's tests run there with -x -q, one
 process at a time.  Each test is a file, or path::Class for one class of
@@ -316,9 +317,10 @@ def run(mutant: Mutant, root: Path = ROOT) -> str:
     with tempfile.TemporaryDirectory(prefix="molsnet-mutant-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "demos"):
             shutil.copytree(root / tree, copy / tree, ignore=ignore)
-        shutil.copy2(root / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(root / name, copy)
         target = copy / mutant.file
         target.write_text(target.read_text().replace(mutant.old, mutant.new))
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}

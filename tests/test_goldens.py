@@ -177,12 +177,12 @@ def test_large_verify_matches_digest(filename):
     assert hashlib.sha256(content.encode()).hexdigest() == LARGE_VERIFY_DIGESTS[filename]
 
 
+def test_readme_quickstart_runs():
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    exec(compile(block, str(README), "exec"), {})
+
+
 if __name__ == "__main__":
     GOLDENS.mkdir(exist_ok=True)
     for filename, text in render_all().items():
         (GOLDENS / filename).write_bytes(text.encode())
-
-
-def test_readme_quickstart_runs():
-    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
-    exec(compile(block, str(README), "exec"), {})
