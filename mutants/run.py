@@ -45,6 +45,7 @@ EXPORT = "src/molsnet/export.py"
 PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
 CLI_TESTS = ("tests/test_cli.py",)
 TUPLE_ARRAY_TESTS = ("tests/test_orthogonality.py::TestTupleArrayChecks",)
+LABEL_TESTS = ("tests/test_orthogonality.py::TestDecidersOnLabels",)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ MUTANTS = (
            "next((v.report for v in _prefix_walk(", "next((None for v in _prefix_walk(",
            PAIR_TESTS),
     Mutant("the key-route walk given square a twice", ORTHOGONALITY,
-           "(flat[a - 1], flat[b - 1]), n, 2, set())", "(flat[a - 1], flat[a - 1]), n, 2, set())",
+           "_prefix_walk((a, b), flat, n, 2, set())", "_prefix_walk((a, a), flat, n, 2, set())",
            PAIR_TESTS),
     Mutant("rows built on every pair", ORTHOGONALITY,
            "rows = cache(lambda k: _rows(flat[k - 1], n))",
@@ -93,7 +94,7 @@ MUTANTS = (
            "elif t == 2:", "elif False:", PAIR_TESTS),
     Mutant("t = 2 failures sent to the walk", ORTHOGONALITY,
            "failures.append(SubsetVerdict(pair, r))",
-           "failures = _prefix_walk(flat, n, t, passed)", PAIR_TESTS),
+           "failures = _prefix_walk(range(1, size + 1), flat, n, t, passed)", PAIR_TESTS),
     Mutant("passed pairs not recorded", ORTHOGONALITY,
            "passed.add(pair)", "pass", PAIR_TESTS),
     Mutant("the failing cover pair recorded as passed", ORTHOGONALITY,
@@ -104,6 +105,8 @@ MUTANTS = (
     Mutant("no skip of passed pairs", ORTHOGONALITY,
            "if any((p, k) in orthogonal_pairs for p in prefix):",
            "if False:", ("tests/test_orthogonality.py",)),
+    Mutant("the walk reads its column by position, not label", ORTHOGONALITY,
+           "column = flat[k - 1]", "column = flat[j]", LABEL_TESTS),
     # Past a failing cover at t >= 3 up to order 255: the pair prune, the
     # route rule and the row-pair groups (_pruned_failures).
     Mutant("a prune threshold of t - 2", ORTHOGONALITY,
@@ -119,10 +122,7 @@ MUTANTS = (
     Mutant("the route rule flipped", ORTHOGONALITY,
            "if 2 * len(kept) >= n:", "if 2 * len(kept) < n:", PAIR_TESTS),
     Mutant("the walk given no passing pair", ORTHOGONALITY,
-           "if passes.get(distinct(a, b))})", "if False})", PAIR_TESTS),
-    Mutant("the walk's subsets left in the positions of the kept squares", ORTHOGONALITY,
-           "SubsetVerdict(tuple(kept[q - 1] for q in v.indices), v.report)",
-           "SubsetVerdict(v.indices, v.report)", PAIR_TESTS),
+           "if passes.get(distinct(*pair))})", "if False})", PAIR_TESTS),
     Mutant("r' ranging from r", ORTHOGONALITY,
            "for r, r2 in itertools.combinations(range(n), 2):",
            "for r, r2 in itertools.combinations_with_replacement(range(n), 2):", PAIR_TESTS),
@@ -139,11 +139,11 @@ MUTANTS = (
            PAIR_TESTS),
     # is_t_orthogonal: the walk on the one subset 1..t.
     Mutant("is_t_orthogonal walks arity - 1 columns", ORTHOGONALITY,
-           "_prefix_walk(array.columns, n, array.arity, set())",
-           "_prefix_walk(array.columns, n, array.arity - 1, set())", PAIR_TESTS),
+           "_prefix_walk(range(1, t + 1), array.columns, n, t, set())",
+           "_prefix_walk(range(1, t + 1), array.columns, n, t - 1, set())", PAIR_TESTS),
     Mutant("is_t_orthogonal passes (1, 2) as already orthogonal", ORTHOGONALITY,
-           "_prefix_walk(array.columns, n, array.arity, set())",
-           "_prefix_walk(array.columns, n, array.arity, {(1, 2)})", PAIR_TESTS),
+           "_prefix_walk(range(1, t + 1), array.columns, n, t, set())",
+           "_prefix_walk(range(1, t + 1), array.columns, n, t, {(1, 2)})", PAIR_TESTS),
     # The collision certificate (_collision_report).
     Mutant("distinct count off by one", ORTHOGONALITY,
            "n * n - len(keys) + len(counts),", "n * n - len(keys) + len(counts) - 1,",
@@ -213,10 +213,10 @@ MUTANTS = (
     Mutant("tail-row permutation check dropped", GRAPHS,
            "if rows_a and _permutes(full, rows_a):", "if rows_a:", ("tests/test_export.py",)),
     Mutant("repeated heads left unsorted", GRAPHS,
-           "sorted(heads) if full.translate(None, heads) else full",
-           "heads if full.translate(None, heads) else full", ("tests/test_export.py",)),
+           "else sorted(heads)", "else heads if full else sorted(heads)",
+           ("tests/test_export.py",)),
     Mutant("full shortcut taken for every tail", GRAPHS,
-           "sorted(heads) if full.translate(None, heads) else full", "full",
+           "full if full and not full.translate(None, heads) else", "full if full else",
            ("tests/test_export.py",)),
     Mutant("a failing row-route pair taken as orthogonal", GRAPHS,
            "if full and _permutes(full, pair):", "if full:", ("tests/test_graphs.py",)),
@@ -247,7 +247,7 @@ MUTANTS = (
     Mutant("a head appended to the wrong tail", GRAPHS,
            "append[u - 1](v)", "append[u - 2](v)", ("tests/test_graphs.py",)),
     Mutant("a key-route tail left unsorted", GRAPHS,
-           "yield None, list(map(sorted, pair))", "yield None, pair", ("tests/test_export.py",)),
+           "else sorted(heads)", "else sorted(heads) if full else heads", ("tests/test_export.py",)),
     # The isolated vertices of the edge list.
     Mutant("isolated names list every symbol", EXPORT,
            "full.translate(None, column) if full else", "full if full else",

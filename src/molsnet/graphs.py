@@ -152,10 +152,8 @@ class PartiteGraph:
         None.
         """
         for full, pair in self._part_pairs():
-            if full:
-                yield full, [sorted(heads) if full.translate(None, heads) else full for heads in pair]
-            else:
-                yield None, list(map(sorted, pair))
+            yield full, [full if full and not full.translate(None, heads) else sorted(heads)
+                         for heads in pair]
 
     @property
     def edges(self) -> tuple[Edge, ...]:

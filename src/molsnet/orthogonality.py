@@ -140,8 +140,8 @@ def is_t_orthogonal(array: TupleArray) -> OrthogonalityReport:
     On failure, first_collision is the smallest colliding cell pair in
     row-major order.
     """
-    n = array.order
-    failures = _prefix_walk(array.columns, n, array.arity, set())
+    n, t = array.order, array.arity
+    failures = _prefix_walk(range(1, t + 1), array.columns, n, t, set())
     return failures[0].report if failures else OrthogonalityReport(True, n * n, None)
 
 
@@ -311,14 +311,13 @@ def _pair_reports(flat: Sequence[Column], n: int, rows: Callable[[int], list[byt
     255, where every Latin square's symbols are bytes, the pair is decided
     from the two squares' rows (_pair_report); rows(k) gives the rows of
     square k, built by the caller once per square and kept.  Above order
-    255 the pair is the prefix walk's one subset (_prefix_walk), as the
-    stack of is_t_orthogonal is, so the walk is the one decider of stacked
-    keys.
+    255 the pair is the prefix walk's one subset (a, b) (_prefix_walk), as
+    the stack of is_t_orthogonal is, so the walk is the one decider of
+    stacked keys.
     """
     full = _full(n)
     if full is None:
-        return lambda a, b: next((v.report for v in _prefix_walk(
-            (flat[a - 1], flat[b - 1]), n, 2, set())), None)
+        return lambda a, b: next((v.report for v in _prefix_walk((a, b), flat, n, 2, set())), None)
     return lambda a, b: _pair_report(rows(a), rows(b), full)
 
 
@@ -358,11 +357,12 @@ def _row_pair_groups(labels: Sequence[int], rows: Sequence[list[bytes]], n: int,
     return groups
 
 
-def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes], rows: Sequence[list[bytes]],
-                       n: int, t: int) -> list[SubsetVerdict]:
-    """The failing t-subsets of the labelled squares, in index order, from
+def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes],
+                       rows: Callable[[int], list[bytes]], n: int, t: int) -> list[SubsetVerdict]:
+    """The failing t-subsets of the squares at the 1-based positions labels
+    of flat, ascending, in index order and named by those labels, from
     their row-pair groups (_row_pair_groups): a subset fails exactly when
-    one group holds it.
+    one group holds it.  rows(k) gives the rows of square k.
 
     A failing subset's report is _collision_report over the cells of the
     groups that hold it, since every other cell's tuple is unique; each
@@ -373,15 +373,14 @@ def _row_pair_failures(labels: Sequence[int], flat: Sequence[bytes], rows: Seque
     """
     import heapq              # only here, so loading the package does not pay for it
 
-    groups = _row_pair_groups(labels, rows, n, t)
-    column = dict(zip(labels, flat)).__getitem__
+    groups = _row_pair_groups(labels, list(map(rows, labels)), n, t)
     # Each group's t-subsets in index order, merged, so equal subsets are adjacent.
     held = heapq.merge(*(zip(itertools.combinations(group, t), itertools.repeat(group))
                          for group in groups))
     reports: dict[frozenset[bytes], OrthogonalityReport] = {}
     failures = []
     for subset, holders in itertools.groupby(held, itemgetter(0)):
-        squares = frozenset(map(column, subset))
+        squares = frozenset(flat[k - 1] for k in subset)
         report = reports.get(squares)
         if report is None:
             positions = sorted(set().union(*(groups[group] for _, group in holders)))
@@ -406,7 +405,9 @@ def _pruned_failures(flat: Sequence[bytes], n: int, t: int, rows: Callable[[int]
     with its copies, is in no failing subset and is dropped; with fewer
     than t squares S left, none fails.  On S the row-pair groups
     (_row_pair_failures) decide when 2|S| >= n, and the prefix walk, given
-    every passing pair, otherwise.  The walk's cost grows with C(|S|, 3)
+    every passing pair, otherwise.  Both deciders take S as the labels of
+    its squares in flat and name their verdicts by those labels, so no
+    decider renumbers the squares.  The walk's cost grows with C(|S|, 3)
     when pairs fail and the groups' with C(n, 2) row pairs of |S| squares
     each.  On the first |S| squares of a shift family at t = 3 (2-core x86
     host, Python 3.11, best of 2-3) the walk leads up to about 2|S| = 0.7n
@@ -438,18 +439,17 @@ def _pruned_failures(flat: Sequence[bytes], n: int, t: int, rows: Callable[[int]
     if len(kept) < t:
         return []
     if 2 * len(kept) >= n:
-        return _row_pair_failures(kept, [flat[k - 1] for k in kept], list(map(rows, kept)), n, t)
+        return _row_pair_failures(kept, flat, rows, n, t)
     # A pair of copies reads None or False from passes: it fails.
-    walked = _prefix_walk([flat[k - 1] for k in kept], n, t,
-                          {(p, q) for (p, a), (q, b)
-                           in itertools.combinations(enumerate(kept, start=1), 2)
-                           if passes.get(distinct(a, b))})
-    return [SubsetVerdict(tuple(kept[q - 1] for q in v.indices), v.report) for v in walked]
+    return _prefix_walk(kept, flat, n, t, {pair for pair in itertools.combinations(kept, 2)
+                                           if passes.get(distinct(*pair))})
 
 
-def _prefix_walk(flat: Sequence[Column], n: int, t: int,
+def _prefix_walk(labels: Sequence[int], flat: Sequence[Column], n: int, t: int,
                  orthogonal_pairs: set[tuple[int, int]]) -> list[SubsetVerdict]:
-    """The failing t-subsets, in index order, from a depth-first prefix walk.
+    """The failing t-subsets of the squares at the 1-based positions labels
+    of flat, ascending, in index order and named by those labels, from a
+    depth-first prefix walk; orthogonal_pairs are label pairs (p, q), p < q.
 
     A node holds one key per cell, its prefix of symbols read as a
     base-(n+1) number, scaled by n+1 once (_scaled), so each child adds its
@@ -462,28 +462,30 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
     tested, because one column decides nothing: for n >= 2 its n^2 keys,
     symbols of 1..n, repeat, and for n = 1 every child settles.  A failing
     leaf reads its certificate off its keys (_collision_report).
-    Three callers walk: is_t_orthogonal its one subset, _pair_reports
-    each pair above order 255, and verify_set_orthogonality at t >= 3 once
-    its Turan cover fails, on its whole set above order 255 and up to it
-    on the squares left after the pair prune when they are too few for the
-    row-pair groups (_pruned_failures).  At t = 2 every pair is decided on
-    its own.
+    Three callers walk, each giving labels as the row-pair groups take
+    them, so no decider renumbers: is_t_orthogonal its one subset 1..t,
+    _pair_reports each pair (a, b) above order 255, and
+    verify_set_orthogonality at t >= 3 once its Turan cover fails, on its
+    whole set 1..size above order 255 and up to it on the squares left
+    after the pair prune when they are too few for the row-pair groups
+    (_pruned_failures).  At t = 2 every pair is decided on its own.
     """
-    size = len(flat)
+    size = len(labels)
     failures: list[SubsetVerdict] = []
-    for first in range(1, size - t + 2):
-        # Explicit stack of [prefix, scaled keys of the prefix's kept cells,
-        # their row-major positions, the reader of those cells from a column
-        # (None: every cell), next square to add], so depth is not bounded
-        # by the recursion limit.
-        stack = [[(first,), _scaled(flat[first - 1], n), range(n * n), None, first + 1]]
+    for i, first in enumerate(labels[:size - t + 1]):
+        # Explicit stack of [prefix of labels, scaled keys of the prefix's
+        # kept cells, their row-major positions, the reader of those cells
+        # from a column (None: every cell), index in labels of the next
+        # square to add], so depth is not bounded by the recursion limit.
+        stack = [[(first,), _scaled(flat[first - 1], n), range(n * n), None, i + 1]]
         while stack:
             frame = stack[-1]
-            prefix, scaled, positions, read, k = frame
-            if k > size - t + len(prefix) + 1:
+            prefix, scaled, positions, read, j = frame
+            if j > size - t + len(prefix):
                 stack.pop()
                 continue
-            frame[4] = k + 1
+            frame[4] = j + 1
+            k = labels[j]
             if any((p, k) in orthogonal_pairs for p in prefix):
                 continue
             child = prefix + (k,)
@@ -498,7 +500,7 @@ def _prefix_walk(flat: Sequence[Column], n: int, t: int,
             repeated = list(map(gt, map(counts.__getitem__, keys), itertools.repeat(1)))
             kept = list(itertools.compress(positions, repeated))
             stack.append([child, _scaled(itertools.compress(keys, repeated), n), kept,
-                          itemgetter(*kept), k + 1])
+                          itemgetter(*kept), j + 1])
     return failures
 
 
@@ -534,7 +536,7 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
             elif t == 2:
                 failures.append(SubsetVerdict(pair, r))
             else:
-                failures = (_prefix_walk(flat, n, t, passed) if _full(n) is None else
-                            _pruned_failures(flat, n, t, rows, passed, pair))
+                failures = (_prefix_walk(range(1, size + 1), flat, n, t, passed) if _full(n) is None
+                            else _pruned_failures(flat, n, t, rows, passed, pair))
                 return SetOrthogonalityReport(n, t, size, tuple(failures))
     return SetOrthogonalityReport(n, t, size, tuple(failures))

@@ -11,8 +11,8 @@ from molsnet import (LatinSquare, MolsSet, TupleArray, enumerate_set_orthogonali
                      is_t_orthogonal, make_additive_square, make_mols_family,
                      make_multiplicative_square, make_turan_graph, superimpose, turan_edge_count,
                      verify_set_orthogonality)
-from molsnet.orthogonality import (OrthogonalityReport, _collision_report,
-                                   _prefix_walk, _runs, subset_rank)
+from molsnet.orthogonality import (OrthogonalityReport, SubsetVerdict, _collision_report,
+                                   _prefix_walk, _row_pair_failures, _runs, subset_rank)
 from reference import (distinct_slope_report, occurrence_report, per_subset_verdicts,
                        shift_family_report, shift_family_report_by_subsets)
 
@@ -114,7 +114,7 @@ class TestIsTOrthogonal:
         assert verdicts == {True}
 
     def test_each_call_is_one_walk_of_its_one_subset(self, family4, family5, monkeypatch):
-        # The verdict is _prefix_walk's on the subset 1..t of the stack's
+        # The verdict is _prefix_walk's on the labels 1..t of the stack's
         # columns, with no passed pairs and no key pass (_appended) of its
         # own, outside the walk: orthogonal at t = 2 and t = 4, a failing
         # pair, a stack that fails on its first two squares and passes with
@@ -143,7 +143,8 @@ class TestIsTOrthogonal:
             walks.clear()
             key_passes.clear()
             report = is_t_orthogonal(array)
-            assert walks == [(array.columns, array.order, len(squares), set())]
+            assert walks == [(range(1, len(squares) + 1), array.columns, array.order,
+                              len(squares), set())]
             assert key_passes and all(key_passes)
             assert report == occurrence_report(array)
 
@@ -434,7 +435,7 @@ class TestPairCover:
             passes.clear()
             report = verify_set_orthogonality(family, t)
             verify_passes = passes.pop("keys")
-            walked = _prefix_walk(flat, n, t, set())
+            walked = _prefix_walk(range(1, len(flat) + 1), flat, n, t, set())
             assert verify_passes <= passes["keys"] + 1
             assert report.failures == tuple(walked)
 
@@ -677,6 +678,40 @@ class TestRowPairs:
         assert len(report.failures) == comb(20, 4)
         assert len({id(v.report) for v in report.failures}) == 1
         assert report.failures[0].report == is_t_orthogonal(superimpose([square] * 4))
+
+
+class TestDecidersOnLabels:
+    """The prefix walk and the row-pair groups decide the squares at any
+    1-based labels of the whole set's columns and name their verdicts by
+    those labels, with no renumbering."""
+
+    @pytest.mark.parametrize("n", range(5, 14))
+    def test_the_two_deciders_agree_on_any_labels(self, n):
+        # Family squares (the cyclic square at orders 8 and 9, which have no
+        # family), row isotopes of square 1 and copies, drawn with
+        # replacement, under labels with a gap, so never a run.
+        rng = random.Random(n)
+        if is_prime(n) or is_prime(n + 1):
+            family = list(make_mols_family(n).squares)
+        else:
+            family = [LatinSquare(n, tuple(tuple((r + c) % n + 1 for c in range(n))
+                                           for r in range(n)))]
+        pool = family + [
+            LatinSquare(n, tuple(family[0].cells[r] for r in rng.sample(range(n), n)))
+            for _ in range(3)]
+        for trial in range(3):
+            squares = [rng.choice(pool) for _ in range(9)]
+            flat = [square.symbols for square in squares]
+            rows = lambda k: molsnet.orthogonality._rows(flat[k - 1], n)  # noqa: E731
+            labels = []
+            while all(b - a == 1 for a, b in zip(labels, labels[1:])):
+                labels = sorted(rng.sample(range(1, 10), rng.randint(4, 6)))
+            chosen = MolsSet(n, tuple(squares[k - 1] for k in labels))
+            for t in range(2, 5):
+                expected = [SubsetVerdict(tuple(labels[q - 1] for q in v.indices), v.report)
+                            for v in per_subset_verdicts(chosen, t) if not v.report.is_orthogonal]
+                walked = _prefix_walk(labels, flat, n, t, set())
+                assert walked == _row_pair_failures(labels, flat, rows, n, t) == expected
 
 
 def _scrambled_family(n, seed, method="additive"):
