@@ -311,9 +311,9 @@ def _pair_reports(flat: Sequence[Column], n: int, rows: Callable[[int], list[byt
     255, where every Latin square's symbols are bytes, the pair is decided
     from the two squares' rows (_pair_report); rows(k) gives the rows of
     square k, built by the caller once per square and kept.  Above order
-    255 the pair is the prefix walk's one subset (a, b) (_prefix_walk), as
-    the stack of is_t_orthogonal is, so the walk is the one decider of
-    stacked keys.
+    255 the prefix walk (_prefix_walk) decides the pair as its one subset,
+    the labels (a, b), as it decides the stack of is_t_orthogonal, so the
+    walk is the one decider of stacked keys.
     """
     full = _full(n)
     if full is None:
