@@ -46,6 +46,8 @@ PAIR_TESTS = ("tests/test_properties.py", "tests/test_orthogonality.py")
 CLI_TESTS = ("tests/test_cli.py",)
 TUPLE_ARRAY_TESTS = ("tests/test_orthogonality.py::TestTupleArrayChecks",)
 LABEL_TESTS = ("tests/test_orthogonality.py::TestDecidersOnLabels",)
+VERIFY_TESTS = ("tests/test_orthogonality.py::TestVerifySetOrthogonality",)
+ROW_PAIR_TESTS = ("tests/test_orthogonality.py::TestRowPairs",)
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,11 @@ class Mutant:
 
 
 MUTANTS = (
-    # The one pair decider (_pair_reports).
+    # The pair route of verify's cover loop, picked once by the order (_full).
     Mutant("every order to the row path", ORTHOGONALITY,
-           "if full is None:", "if False:", PAIR_TESTS),
+           "rows(b), full) if full", "rows(b), full) if True", PAIR_TESTS),
     Mutant("every pair to the key path", ORTHOGONALITY,
-           "if full is None:", "if True:", PAIR_TESTS),
+           "rows(b), full) if full", "rows(b), full) if False", PAIR_TESTS),
     Mutant("None for a failing key pair", ORTHOGONALITY,
            "next((v.report for v in _prefix_walk(", "next((None for v in _prefix_walk(",
            PAIR_TESTS),
@@ -93,13 +95,19 @@ MUTANTS = (
     Mutant("t = 2 through the cover and the walk", ORTHOGONALITY,
            "elif t == 2:", "elif False:", PAIR_TESTS),
     Mutant("t = 2 failures sent to the walk", ORTHOGONALITY,
-           "failures.append(SubsetVerdict(pair, r))",
+           "failures.append(SubsetVerdict((a, b), r))",
            "failures = _prefix_walk(range(1, size + 1), flat, n, t, passed)", PAIR_TESTS),
     Mutant("passed pairs not recorded", ORTHOGONALITY,
-           "passed.add(pair)", "pass", PAIR_TESTS),
+           "passed.add((a, b))", "pass", ROW_PAIR_TESTS),
     Mutant("the failing cover pair recorded as passed", ORTHOGONALITY,
-           "_pruned_failures(flat, n, t, rows, passed, pair))",
-           "_pruned_failures(flat, n, t, rows, passed | {pair}, pair))", PAIR_TESTS),
+           "_pruned_failures(flat, n, t, rows, passed, (a, b))",
+           "_pruned_failures(flat, n, t, rows, passed | {(a, b)}, (a, b))", PAIR_TESTS),
+    Mutant("above 255 a failing cover lists nothing", ORTHOGONALITY,
+           "else _prefix_walk(range(1, size + 1), flat, n, t, passed))", "else [])",
+           VERIFY_TESTS),
+    Mutant("above 255 the walk is given no passed pair", ORTHOGONALITY,
+           "_prefix_walk(range(1, size + 1), flat, n, t, passed))",
+           "_prefix_walk(range(1, size + 1), flat, n, t, set()))", VERIFY_TESTS),
     Mutant("t runs instead of t-1", ORTHOGONALITY,
            "_runs(size, t - 1)", "_runs(size, t)", PAIR_TESTS),
     Mutant("no skip of passed pairs", ORTHOGONALITY,
@@ -110,7 +118,7 @@ MUTANTS = (
     # Past a failing cover at t >= 3 up to order 255: the pair prune, the
     # route rule and the row-pair groups (_pruned_failures).
     Mutant("a prune threshold of t - 2", ORTHOGONALITY,
-           "if fails[kind[k - 1]] >= t - 1]", "if fails[kind[k - 1]] >= t - 2]", PAIR_TESTS),
+           "if fails[kind[k - 1]] >= t - 1]", "if fails[kind[k - 1]] >= t - 2]", ROW_PAIR_TESTS),
     Mutant("copies not counted as failing partners of each other", ORTHOGONALITY,
            "fails = Counter({k: c - 1 for k, c in copies.items()})", "fails = Counter()",
            PAIR_TESTS),
@@ -120,20 +128,20 @@ MUTANTS = (
            "passes = {distinct(*pair): pair in passed for pair in (*passed, failed)}",
            "passes = {}", ("tests/test_orthogonality.py",)),
     Mutant("the route rule flipped", ORTHOGONALITY,
-           "if 2 * len(kept) >= n:", "if 2 * len(kept) < n:", PAIR_TESTS),
+           "if 2 * len(kept) >= n:", "if 2 * len(kept) < n:", ROW_PAIR_TESTS),
     Mutant("the walk given no passing pair", ORTHOGONALITY,
-           "if passes.get(distinct(*pair))})", "if False})", PAIR_TESTS),
+           "if passes.get(distinct(*pair))})", "if False})", ROW_PAIR_TESTS),
     Mutant("r' ranging from r", ORTHOGONALITY,
            "for r, r2 in itertools.combinations(range(n), 2):",
            "for r, r2 in itertools.combinations_with_replacement(range(n), 2):", PAIR_TESTS),
     Mutant("a group threshold of t - 1", ORTHOGONALITY,
            "map(ge, counts.values(), itertools.repeat(t))",
-           "map(ge, counts.values(), itertools.repeat(t - 1))", PAIR_TESTS),
+           "map(ge, counts.values(), itertools.repeat(t - 1))", ROW_PAIR_TESTS),
     Mutant("an inverse table taken from the wrong square", ORTHOGONALITY,
            "for square, inverse in zip(rows, inverses)",
            "for square, inverse in zip(rows, inverses[1:] + inverses[:1])", PAIR_TESTS),
     Mutant("one report per subset, not per set of distinct squares", ORTHOGONALITY,
-           "report = reports.get(squares)", "report = None", PAIR_TESTS),
+           "report = reports.get(squares)", "report = None", ROW_PAIR_TESTS),
     Mutant("report keys stacked from one square fewer", ORTHOGONALITY,
            "keys = list(zip(*map(read, squares)))", "keys = list(zip(*map(read, [*squares][1:])))",
            PAIR_TESTS),

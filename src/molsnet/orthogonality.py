@@ -301,26 +301,6 @@ def _pair_report(rows_a: Sequence[bytes], rows_b: Sequence[bytes],
                                ((i + 1, j + 1), (k + 1, rows_a[k].index(s) + 1)))
 
 
-def _pair_reports(flat: Sequence[Column], n: int, rows: Callable[[int], list[bytes]]
-                  ) -> Callable[[int, int], OrthogonalityReport | None]:
-    """The one decider of pairs of squares: given 1-based positions (a, b)
-    in flat, it returns the pair's report, or None when the pair holds all
-    n^2 symbol pairs.
-
-    The route is picked once, by the order (squares._full).  Up to order
-    255, where every Latin square's symbols are bytes, the pair is decided
-    from the two squares' rows (_pair_report); rows(k) gives the rows of
-    square k, built by the caller once per square and kept.  Above order
-    255 the prefix walk (_prefix_walk) decides the pair as its one subset,
-    the labels (a, b), as it decides the stack of is_t_orthogonal, so the
-    walk is the one decider of stacked keys.
-    """
-    full = _full(n)
-    if full is None:
-        return lambda a, b: next((v.report for v in _prefix_walk((a, b), flat, n, 2, set())), None)
-    return lambda a, b: _pair_report(rows(a), rows(b), full)
-
-
 def _row_pair_groups(labels: Sequence[int], rows: Sequence[list[bytes]], n: int,
                      t: int) -> dict[tuple[int, ...], set[int]]:
     """The sets of t or more squares that share a collision, each with the
@@ -463,12 +443,12 @@ def _prefix_walk(labels: Sequence[int], flat: Sequence[Column], n: int, t: int,
     symbols of 1..n, repeat, and for n = 1 every child settles.  A failing
     leaf reads its certificate off its keys (_collision_report).
     Three callers walk, each giving labels as the row-pair groups take
-    them, so no decider renumbers: is_t_orthogonal its one subset 1..t,
-    _pair_reports each pair (a, b) above order 255, and
-    verify_set_orthogonality at t >= 3 once its Turan cover fails, on its
-    whole set 1..size above order 255 and up to it on the squares left
-    after the pair prune when they are too few for the row-pair groups
-    (_pruned_failures).  At t = 2 every pair is decided on its own.
+    them, so no decider renumbers: is_t_orthogonal its one subset 1..t;
+    verify_set_orthogonality, above order 255, each cover pair (a, b) and,
+    at t >= 3 once its Turan cover fails, its whole set 1..size; and
+    _pruned_failures, up to order 255, the squares left after the pair
+    prune when they are too few for the row-pair groups.  At t = 2 every
+    pair is decided on its own.
     """
     size = len(labels)
     failures: list[SubsetVerdict] = []
@@ -507,18 +487,23 @@ def _prefix_walk(labels: Sequence[int], flat: Sequence[Column], n: int, t: int,
 def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     """Check every t-subset of the set; return the failures in index order.
 
-    First the pairs within t-1 balanced runs of the squares, the parts of
-    the Turan graph T(size, t-1), are decided in index order, each once by
-    _pair_reports.  Any t squares include two from one run, so every
+    The order picks the route once (squares._full).  First the pairs within
+    t-1 balanced runs of the squares, the parts of the Turan graph
+    T(size, t-1), are decided in index order, each once: up to order 255,
+    where every Latin square's symbols are bytes, from the two squares'
+    rows (_pair_report), each square's rows built once and kept; above it
+    by the prefix walk (_prefix_walk) on the pair as its one subset, as it
+    decides the stack of is_t_orthogonal, so the walk is the one decider
+    of stacked keys.  Any t squares include two from one run, so every
     t-subset holds one of these pairs, and by Turan's theorem no smaller
     set of pairs does; a subset that holds an orthogonal pair has all n^2
     tuples distinct, so if they all pass, every subset does.  At t = 2 the
     one run is the whole set, so its pairs are the subsets and a failing
     pair is listed with its report.  At t >= 3 the first failing pair hands
-    over: up to order 255 (squares._full) to _pruned_failures, which
+    over, by the same route: up to order 255 to _pruned_failures, which
     decides every other pair of distinct squares, drops the squares with
     fewer than t - 1 failing partners and decides the rest from row-pair
-    groups or by the prefix walk; above order 255 to the prefix walk (_prefix_walk) on the
+    groups or by the prefix walk; above order 255 to the prefix walk on the
     whole set, which settles every node that holds a pair that already
     passed without testing it.
     """
@@ -528,15 +513,16 @@ def verify_set_orthogonality(mols: MolsSet, t: int) -> SetOrthogonalityReport:
     n = mols.order
     flat = [square.symbols for square in mols.squares]
     rows = cache(lambda k: _rows(flat[k - 1], n))
-    report, passed, failures = _pair_reports(flat, n, rows), set(), []
-    for run in _runs(size, t - 1):
-        for pair in itertools.combinations(run, 2):
-            if (r := report(*pair)) is None:
-                passed.add(pair)
-            elif t == 2:
-                failures.append(SubsetVerdict(pair, r))
-            else:
-                failures = (_prefix_walk(range(1, size + 1), flat, n, t, passed) if _full(n) is None
-                            else _pruned_failures(flat, n, t, rows, passed, pair))
-                return SetOrthogonalityReport(n, t, size, tuple(failures))
+    full, passed, failures = _full(n), set(), []
+    for a, b in (pair for run in _runs(size, t - 1) for pair in itertools.combinations(run, 2)):
+        r = (_pair_report(rows(a), rows(b), full) if full
+             else next((v.report for v in _prefix_walk((a, b), flat, n, 2, set())), None))
+        if r is None:
+            passed.add((a, b))
+        elif t == 2:
+            failures.append(SubsetVerdict((a, b), r))
+        else:
+            failures = (_pruned_failures(flat, n, t, rows, passed, (a, b)) if full
+                        else _prefix_walk(range(1, size + 1), flat, n, t, passed))
+            break
     return SetOrthogonalityReport(n, t, size, tuple(failures))

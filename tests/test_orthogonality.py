@@ -300,20 +300,24 @@ class TestVerifySetOrthogonality:
                     assert calls["_pair_report"] == comb(len(mols), 2)
                 assert report == enumerate_set_orthogonality(mols, t)
 
-    def test_order_256_takes_one_key_pass_per_pair(self, monkeypatch):
-        # Above order 255 a square's symbols are a tuple, 1.0 included, and
-        # each pair is decided by one prefix walk on the pair, whose one
-        # child is one key pass.  Squares 1 and 2, i xor j and i xor 2j in
-        # GF(2^8), are orthogonal; square 3 is square 1 with its rows
-        # shifted and one 1 written 1.0.
+    @staticmethod
+    def _order_256_squares():
+        """Three squares of order 256: a and b, i xor j and i xor 2j in
+        GF(2^8), are orthogonal; c is a with its rows shifted by one and
+        one 1 written 1.0."""
         n = 256
         a = tuple(tuple((i ^ j) + 1 for j in range(n)) for i in range(n))
         b = tuple(tuple((i ^ (j << 1) ^ (0x11B if j & 0x80 else 0)) + 1 for j in range(n))
                   for i in range(n))
         shifted = [list(row) for row in a[1:] + a[:1]]
         shifted[0][shifted[0].index(1)] = 1.0
-        mols = MolsSet(n, (LatinSquare(n, a), LatinSquare(n, b),
-                           LatinSquare(n, tuple(map(tuple, shifted)))))
+        return LatinSquare(n, a), LatinSquare(n, b), LatinSquare(n, tuple(map(tuple, shifted)))
+
+    def test_order_256_takes_one_key_pass_per_pair(self, monkeypatch):
+        # Above order 255 a square's symbols are a tuple, 1.0 included, and
+        # each pair is decided by one prefix walk on the pair, whose one
+        # child is one key pass.
+        mols = MolsSet(256, self._order_256_squares())
         assert all(type(square.symbols) is tuple for square in mols)
         calls = self._decisions(monkeypatch)
         report = verify_set_orthogonality(mols, 2)
@@ -321,6 +325,24 @@ class TestVerifySetOrthogonality:
         monkeypatch.undo()
         assert tuple(report.verdicts) == per_subset_verdicts(mols, 2)
         assert [v.indices for v in report.failures] == [(1, 3), (2, 3)]
+
+    def test_order_256_hands_a_failing_cover_to_the_whole_set_walk(self, monkeypatch):
+        # On (a, b, c, c) at t = 3 the cover pairs are (1, 2), which passes,
+        # and the copies (3, 4), which fail; above order 255 the hand-over
+        # is the prefix walk on labels 1..4, given the passed pair.
+        a, b, c = self._order_256_squares()
+        mols = MolsSet(256, (a, b, c, c))
+        walks, walk = [], molsnet.orthogonality._prefix_walk
+
+        def walk_spy(labels, flat, n, t, orthogonal_pairs):
+            walks.append((tuple(labels), t, set(orthogonal_pairs)))
+            return walk(labels, flat, n, t, orthogonal_pairs)
+        monkeypatch.setattr(molsnet.orthogonality, "_prefix_walk", walk_spy)
+        report = verify_set_orthogonality(mols, 3)
+        assert walks == [((1, 2), 2, set()), ((3, 4), 2, set()), ((1, 2, 3, 4), 3, {(1, 2)})]
+        monkeypatch.undo()
+        assert tuple(report.verdicts) == per_subset_verdicts(mols, 3)
+        assert [v.indices for v in report.failures] == [(1, 3, 4), (2, 3, 4)]
 
     @pytest.mark.parametrize("n,method", [case for case in FAMILIES if case[0] <= 7])
     def test_matches_full_enumeration_oracle(self, n, method):
